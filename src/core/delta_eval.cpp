@@ -36,11 +36,28 @@ const obs::Counter c_de_kept =
     obs::counter("core.delta_eval.closest_clients_kept");
 const obs::Counter c_de_recomputed =
     obs::counter("core.delta_eval.closest_clients_recomputed");
+// Indexed closest path: kept chargers resolved by their Grid keep interval
+// (a subset of closest_clients_kept), clients repriced, and the non-flipped
+// reprices (repriced - recomputed) answered by the three-term certificate
+// instead of the O(|Q|) loop.
+const obs::Counter c_de_repriced =
+    obs::counter("core.delta_eval.closest_clients_repriced");
+const obs::Counter c_de_interval_keeps =
+    obs::counter("core.delta_eval.closest_interval_keeps");
+const obs::Counter c_de_certified =
+    obs::counter("core.delta_eval.closest_reprice_certified");
 const obs::Counter c_de_apply = obs::counter("core.delta_eval.apply_moves");
 const obs::Counter c_de_rebuilds =
     obs::counter("core.delta_eval.apply_rebuilds");
 
 constexpr std::size_t kEnumerationLimit = 50'000;
+
+/// Relative slack of the reprice certificate. A term t = d + alpha * L whose
+/// site load moves by delta >= 0 is recomputed as fl(d + fl(alpha * fl(L +
+/// delta))), at most (t + alpha * delta)(1 + 6u) with u = 2^-53; 1e-12 covers
+/// that and the rounding of the certificate's own sum with a wide margin.
+/// (delta <= 0 cannot raise a term at all: rounding is monotone.)
+constexpr double kCertSlack = 1e-12;
 
 /// Value at (0-based) rank `r` of the ascending row `y` (length n) after
 /// removing one copy of `removed` (which must be present) and inserting
@@ -630,7 +647,10 @@ void DeltaEvaluator::rebuild_closest() {
   values_.resize(clients_ * n_);
   best_value_.resize(clients_);
   client_sum_.resize(clients_);
+  price_cert_.resize(clients_);
   chosen_quorum_.assign(clients_, {});
+  hosted_count_.assign(clients_, 0);
+  for (std::size_t u = 0; u < n_; ++u) ++hosted_count_[placement_.site_of[u]];
   if (mode_ == Mode::ClosestMajority) {
     sorted_.resize(clients_ * n_);
     second_value_.resize(clients_);
@@ -748,15 +768,44 @@ void DeltaEvaluator::rebuild_closest_loads_and_rho() {
   }
   base_total_ = 0.0;
   for (std::size_t v = 0; v < clients_; ++v) {
-    const double* vals = values_.data() + v * n_;
-    double worst = 0.0;
-    for (std::size_t e : chosen_quorum_[v]) {
-      worst = std::max(worst, vals[e] + alpha_ * closest_load_[placement_.site_of[e]]);
-    }
-    client_sum_[v] = worst;
-    base_total_ += (client_weight_.empty() ? 1.0 : client_weight_[v]) * worst;
+    price_closest_client(v);
+    base_total_ += (client_weight_.empty() ? 1.0 : client_weight_[v]) * client_sum_[v];
   }
   if (candidate_index_ != nullptr) rebuild_charge_index();
+}
+
+void DeltaEvaluator::price_closest_client(std::size_t v) {
+  // The chosen quorum's response and its certificate in one pass: `first`
+  // and `second` track the two largest terms (ties fill the lower slot), so
+  // every term of an element outside {first, second} is <= third.
+  const double neg_inf = -std::numeric_limits<double>::infinity();
+  const double* vals = values_.data() + v * n_;
+  PriceCert cert{n_, n_, neg_inf, 0.0, 0.0};
+  double first = neg_inf;
+  double second = neg_inf;
+  double worst = 0.0;
+  for (std::size_t e : chosen_quorum_[v]) {
+    const double term = vals[e] + alpha_ * closest_load_[placement_.site_of[e]];
+    worst = std::max(worst, term);
+    if (term > first) {
+      cert.third = second;
+      second = first;
+      cert.second = cert.first;
+      cert.second_d = cert.first_d;
+      first = term;
+      cert.first = e;
+      cert.first_d = vals[e];
+    } else if (term > second) {
+      cert.third = second;
+      second = term;
+      cert.second = e;
+      cert.second_d = vals[e];
+    } else if (term > cert.third) {
+      cert.third = term;
+    }
+  }
+  client_sum_[v] = worst;
+  price_cert_[v] = cert;
 }
 
 double DeltaEvaluator::closest_if_moved(std::size_t element, std::size_t site) const {
@@ -999,6 +1048,8 @@ void DeltaEvaluator::apply_move_closest(std::size_t element, std::size_t site) {
       }
     }
   }
+  --hosted_count_[placement_.site_of[element]];
+  ++hosted_count_[site];
   placement_.site_of[element] = site;
   if (incremental) {
     reaccumulate_closest_dirty(touched_clients, new_charges, affected_sites);
@@ -1012,6 +1063,8 @@ void DeltaEvaluator::attach_candidate_index(const ClientCandidateIndex* index) {
     candidate_index_ = nullptr;
     charge_lists_.clear();
     overflow_clients_.clear();
+    keep_offset_.clear();
+    keep_interval_.clear();
     return;
   }
   if (!closest_) {
@@ -1035,6 +1088,10 @@ void DeltaEvaluator::rebuild_charge_index() {
       charge_lists_[placement_.site_of[e]].push_back(v);
     }
   }
+  refresh_candidate_tables();
+}
+
+void DeltaEvaluator::refresh_candidate_tables() {
   // Clients whose m1 outgrew their list's covered radius fall back to being
   // classified on every candidate — that keeps uncapped evaluation exact as
   // the placement drifts away from the radii the lists were built with.
@@ -1047,6 +1104,167 @@ void DeltaEvaluator::rebuild_charge_index() {
         overflow_clients_.push_back(v);
       }
     }
+  }
+  if (mode_ != Mode::ClosestGrid) return;
+  // Every entry's interval depends on the client's whole distance row, and
+  // a move changes one coordinate of every row — so all entries refresh,
+  // client by client in O(k) per client. Slots of sites hosting several
+  // elements are skipped and never read: their chargers may charge through
+  // an element other than the moved one.
+  keep_offset_.resize(clients_ + 1);
+  keep_offset_[0] = 0;
+  for (std::size_t s = 0; s < clients_; ++s) {
+    keep_offset_[s + 1] = keep_offset_[s] + charge_lists_[s].size();
+  }
+  keep_interval_.resize(keep_offset_[clients_]);
+  // A singly-hosted site's list holds each of its chargers once, ascending,
+  // so a per-site cursor walks to the client's slot.
+  std::vector<std::size_t> cursor(keep_offset_.begin(), keep_offset_.end() - 1);
+  std::vector<KeepInterval> client_keep;
+  for (std::size_t v = 0; v < clients_; ++v) {
+    const quorum::Quorum& chosen = chosen_quorum_[v];
+    client_keep.resize(chosen.size());
+    grid_keep_intervals(v, client_keep.data());
+    for (std::size_t i = 0; i < chosen.size(); ++i) {
+      const std::size_t u = chosen[i];
+      const std::size_t s = placement_.site_of[u];
+      if (hosted_count_[s] != 1) continue;
+      QP_CHECK(charge_lists_[s][cursor[s] - keep_offset_[s]] == v,
+               "refresh_candidate_tables: charge list out of sync with the chosen quorums");
+      QP_CHECK(client_keep[i].lo <= values_[v * n_ + u] &&
+                   values_[v * n_ + u] <= client_keep[i].hi,
+               "grid_keep_intervals: the current distance lies outside its own keep "
+               "interval (choice tables out of sync)");
+      keep_interval_[cursor[s]++] = client_keep[i];
+    }
+  }
+}
+
+std::size_t DeltaEvaluator::grid_argmin_patched(std::size_t v, std::size_t element,
+                                                double d) const {
+  // cell(r, c) = max(row'[r], col'[c]), so each row's minimum is
+  // max(row'[r], min_c col'[c]), and the strict-< scan's winner is the
+  // first cell (row-major) attaining the global minimum — the first row
+  // whose minimum attains it, then the first column attaining it within
+  // that row. Pure selection (no arithmetic), so the winner is bitwise the
+  // k*k scan's (closest_if_moved, apply_move_closest).
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::size_t k = side_;
+  const std::size_t r0 = element / k;
+  const std::size_t c0 = element % k;
+  const double* rm = row_max_.data() + v * k;
+  const double* cm = col_max_.data() + v * k;
+  const double nr = std::max(row_excl_[v * n_ + element], d);
+  const double nc = std::max(col_excl_[v * n_ + element], d);
+  double col_min = inf;
+  for (std::size_t c = 0; c < k; ++c) col_min = std::min(col_min, c == c0 ? nc : cm[c]);
+  double best_max = inf;
+  std::size_t best_r = 0;
+  for (std::size_t r = 0; r < k; ++r) {
+    const double val = std::max(r == r0 ? nr : rm[r], col_min);
+    if (val < best_max) {
+      best_max = val;
+      best_r = r;
+    }
+  }
+  const double rr = best_r == r0 ? nr : rm[best_r];
+  for (std::size_t c = 0; c < k; ++c) {
+    if (std::max(rr, c == c0 ? nc : cm[c]) == best_max) return best_r * k + c;
+  }
+  return best_r * k;
+}
+
+void DeltaEvaluator::grid_keep_intervals(std::size_t v, KeepInterval* out) const {
+  // Patching element (r0, c0) to distance d makes row r0's maximum
+  // max(rex, d) and column c0's max(cex, d); every other row and column
+  // maximum is fixed. The chosen cell (rs, cs) lies in row r0 or column c0,
+  // so it is worth max(a, d) for a constant a; a competitor cell is worth a
+  // constant C (off row r0 and column c0) or max(b, d). The chosen cell
+  // must beat every cell the row-major scan meets before it strictly and
+  // tie-or-beat the later ones:
+  //   before, C or max(b, d):  a < x and d < x      (x = C or b)
+  //   later,  C:               a <= C and d <= C
+  //   later,  max(b, d):       a <= b, or d >= a
+  // Each is a single ray in d, and d < x is exactly d <= nextafter(x, -inf),
+  // so the feasible set is one closed interval. Only the smallest x, C and
+  // b of each kind matter, and max(y, z) is monotone, so the minima come
+  // from the two smallest row / column maxima of a few index ranges
+  // (excluding one index at most): O(k) per client, O(1) per element.
+  // Pure selection — no rounding.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::size_t k = side_;
+  const std::size_t rs = chosen_row_[v];
+  const std::size_t cs = chosen_col_[v];
+  const double* rm = row_max_.data() + v * k;
+  const double* cm = col_max_.data() + v * k;
+  struct Lowest2 {
+    double first;
+    std::size_t at;
+    double second;
+    [[nodiscard]] double without(std::size_t i) const { return i == at ? second : first; }
+  };
+  const auto lowest2 = [&](const double* x, std::size_t begin, std::size_t end) {
+    Lowest2 low{inf, end, inf};
+    for (std::size_t i = begin; i < end; ++i) {
+      if (x[i] < low.first) {
+        low.second = low.first;
+        low.first = x[i];
+        low.at = i;
+      } else if (x[i] < low.second) {
+        low.second = x[i];
+      }
+    }
+    return low;
+  };
+  const Lowest2 above = lowest2(rm, 0, rs);     // Rows scanned before row rs.
+  const Lowest2 below = lowest2(rm, rs + 1, k);  // Rows scanned after it.
+  const Lowest2 cols = lowest2(cm, 0, k);
+  const Lowest2 left = lowest2(cm, 0, cs);       // Row rs, before column cs.
+  const Lowest2 right = lowest2(cm, cs + 1, k);  // Row rs, after it.
+  const quorum::Quorum& chosen = chosen_quorum_[v];
+  for (std::size_t i = 0; i < chosen.size(); ++i) {
+    const std::size_t e = chosen[i];
+    const std::size_t r0 = e / k;
+    const std::size_t c0 = e % k;
+    const double rex = row_excl_[v * n_ + e];
+    const double cex = col_excl_[v * n_ + e];
+    double a;
+    double strict_min;  // x over the cells before the chosen one.
+    double fixed_min;   // C over the later constant cells.
+    double moving_min;  // b over the later row-r0 / column-c0 cells.
+    if (r0 == rs) {
+      // Constant cells are the other rows minus column c0; moving cells are
+      // row rs (split around cs) and column c0 (split around rs).
+      a = std::max(rex, c0 == cs ? cex : cm[cs]);
+      const double cx = cols.without(c0);
+      strict_min = std::min({std::max(above.first, cx), std::max(rex, left.without(c0)),
+                             std::max(above.first, cex)});
+      fixed_min = std::max(below.first, cx);
+      moving_min = std::min(std::max(rex, right.without(c0)), std::max(below.first, cex));
+      if (c0 != cs) {  // The element's own cell competes too.
+        double& own = c0 < cs ? strict_min : moving_min;
+        own = std::min(own, std::max(rex, cex));
+      }
+    } else {
+      // c0 == cs. Constant cells are the other rows but r0 minus column cs,
+      // including row rs (split around cs); moving cells are row r0 (wholly
+      // before or after row rs) and column cs (split around rs).
+      a = std::max(rm[rs], cex);
+      const double cx = cols.without(cs);
+      const double ra = r0 < rs ? above.without(r0) : above.first;
+      const double rb = r0 > rs ? below.without(r0) : below.first;
+      strict_min = std::min({std::max(ra, cx), std::max(rm[rs], left.first), std::max(ra, cex)});
+      fixed_min = std::min(std::max(rb, cx), std::max(rm[rs], right.first));
+      moving_min = std::max(rb, cex);
+      double& row = r0 < rs ? strict_min : moving_min;
+      row = std::min({row, std::max(rex, cx), std::max(rex, cex)});
+    }
+    if (a >= strict_min || a > fixed_min) {
+      out[i] = {inf, -inf};  // Not the current argmin: tables out of sync.
+      continue;
+    }
+    const double below_strict = strict_min == inf ? inf : std::nextafter(strict_min, -inf);
+    out[i] = {a > moving_min ? a : -inf, std::min(below_strict, fixed_min)};
   }
 }
 
@@ -1110,13 +1328,7 @@ void DeltaEvaluator::reaccumulate_closest_dirty(
     for (std::size_t v : charge_lists_[s]) reprice_client_[v] = 1;
   }
   for (std::size_t v = 0; v < clients_; ++v) {
-    if (reprice_client_[v] == 0) continue;
-    const double* vals = values_.data() + v * n_;
-    double worst = 0.0;
-    for (std::size_t e : chosen_quorum_[v]) {
-      worst = std::max(worst, vals[e] + alpha_ * closest_load_[placement_.site_of[e]]);
-    }
-    client_sum_[v] = worst;
+    if (reprice_client_[v] != 0) price_closest_client(v);
   }
   base_total_ = 0.0;
   for (std::size_t v = 0; v < clients_; ++v) {
@@ -1125,15 +1337,7 @@ void DeltaEvaluator::reaccumulate_closest_dirty(
 
   for (std::size_t v : touched_clients) dirty_client_[v] = 0;
   std::fill(reprice_client_.begin(), reprice_client_.end(), 0);
-
-  overflow_clients_.clear();
-  if (!candidate_index_->capped()) {
-    for (std::size_t v = 0; v < clients_; ++v) {
-      if (best_value_[v] > candidate_index_->covered_radius(v)) {
-        overflow_clients_.push_back(v);
-      }
-    }
-  }
+  refresh_candidate_tables();
 }
 
 double DeltaEvaluator::closest_if_moved_indexed(std::size_t element,
@@ -1141,29 +1345,33 @@ double DeltaEvaluator::closest_if_moved_indexed(std::size_t element,
   // Epoch-marked sparse scratch: per-candidate state is only written for the
   // clients/sites actually touched, so a candidate costs output-sensitive
   // time — never an O(n) clear. Thread-local for the parallel scan.
+  // A client's classification and reprice state share one 32-byte record;
+  // `state` and `d_new` are valid when classified == epoch.
+  struct ClientScratch {
+    std::uint64_t classified = 0;
+    std::uint64_t repriced = 0;
+    double d_new = 0.0;      // d(v, site).
+    std::uint8_t state = 0;  // 0 unchanged, 1 kept, 2 re-chosen.
+  };
   struct Scratch {
     std::uint64_t epoch = 0;
-    std::vector<std::uint64_t> client_mark;   // classified this epoch?
-    std::vector<std::uint8_t> client_state;   // valid when mark == epoch.
+    std::vector<ClientScratch> client;
     std::vector<std::size_t> flip_off;        // state 2: slice of `chosen`.
     std::vector<std::size_t> flip_len;
     std::vector<std::size_t> chosen;          // concatenated flip quorums.
     std::vector<std::uint64_t> site_mark;     // load delta valid this epoch?
     std::vector<double> load_delta;
     std::vector<std::size_t> touched;         // sites with a load delta.
-    std::vector<std::uint64_t> reprice_mark;
     std::vector<std::size_t> reprice;         // clients to reprice.
     std::vector<double> row;                  // Enumerated: patched values.
   };
   static thread_local Scratch sc;
-  if (sc.client_mark.size() != clients_) {
-    sc.client_mark.assign(clients_, 0);
-    sc.client_state.assign(clients_, 0);
+  if (sc.client.size() != clients_) {
+    sc.client.assign(clients_, ClientScratch{});
     sc.flip_off.assign(clients_, 0);
     sc.flip_len.assign(clients_, 0);
     sc.site_mark.assign(clients_, 0);
     sc.load_delta.assign(clients_, 0.0);
-    sc.reprice_mark.assign(clients_, 0);
   }
   ++sc.epoch;
   sc.chosen.clear();
@@ -1174,6 +1382,8 @@ double DeltaEvaluator::closest_if_moved_indexed(std::size_t element,
   std::size_t n_scanned = 0;
   std::size_t n_kept = 0;
   std::size_t n_recomputed = 0;
+  std::size_t n_interval = 0;
+  std::size_t n_certified = 0;
 
   const std::size_t old_site = placement_.site_of[element];
   const bool load = alpha_ != 0.0;
@@ -1190,124 +1400,86 @@ double DeltaEvaluator::closest_if_moved_indexed(std::size_t element,
     sc.load_delta[s] += delta;
   };
   const auto mark_reprice = [&](std::size_t v) {
-    if (sc.reprice_mark[v] != sc.epoch) {
-      sc.reprice_mark[v] = sc.epoch;
+    if (sc.client[v].repriced != sc.epoch) {
+      sc.client[v].repriced = sc.epoch;
       sc.reprice.push_back(v);
     }
   };
 
   // Classification is the same keep / keep-with-moved-u / recompute logic as
   // the full scan (closest_if_moved), applied only to clients that can flip.
-  const auto classify = [&](std::size_t v) {
-    if (sc.client_mark[v] == sc.epoch) return;
-    sc.client_mark[v] = sc.epoch;
-    sc.client_state[v] = 0;
+  // `keep` is the Grid keep interval of a charger of the moved element.
+  const auto classify = [&](std::size_t v, const KeepInterval* keep) {
+    ClientScratch& cs = sc.client[v];
+    if (cs.classified == sc.epoch) return;
+    cs.classified = sc.epoch;
+    cs.state = 0;
     ++n_scanned;
     const double d_new = site_rtt(v, site);
-    const bool contains_u = mode_ == Mode::ClosestGrid
-                                ? (chosen_row_[v] == r0 || chosen_col_[v] == c0)
-                                : in_best_[v * n_ + element] != 0;
-    if (!contains_u && d_new > best_value_[v]) return;  // Provably unchanged.
-    if (mode_ == Mode::ClosestMajority && contains_u &&
-        (majority_q_ == n_ || d_new < second_value_[v])) {
-      sc.client_state[v] = 1;
-      ++n_kept;
-      if (load) {
-        const double w = charge_weight(v);
-        touch(old_site, -w);
-        touch(site, w);
-      }
-      mark_reprice(v);
-      return;
-    }
-    if (mode_ == Mode::ClosestGrid) {
-      // O(k) exact reconstruction of the full scan's k*k-cell argmin:
-      // cell(r, c) = max(row'[r], col'[c]), so each row's minimum is
-      // max(row'[r], min_c col'[c]), and the strict-< scan's winner is the
-      // first cell (row-major) attaining the global minimum — the first row
-      // whose minimum attains it, then the first column attaining it within
-      // that row. Pure selection (no arithmetic), so the winner and its
-      // value are bitwise those of the k*k scan in closest_if_moved.
-      const double* rm = row_max_.data() + v * k;
-      const double* cm = col_max_.data() + v * k;
-      const double nr = std::max(row_excl_[v * n_ + element], d_new);
-      const double nc = std::max(col_excl_[v * n_ + element], d_new);
-      double col_min = std::numeric_limits<double>::infinity();
-      for (std::size_t c = 0; c < k; ++c) {
-        col_min = std::min(col_min, c == c0 ? nc : cm[c]);
-      }
-      double best_max = std::numeric_limits<double>::infinity();
-      std::size_t best_r = 0;
-      for (std::size_t r = 0; r < k; ++r) {
-        const double val = std::max(r == r0 ? nr : rm[r], col_min);
-        if (val < best_max) {
-          best_max = val;
-          best_r = r;
+    cs.d_new = d_new;
+    // kept: u keeps its slot in the still-chosen quorum, so only u's charge
+    // moves. Otherwise the re-chosen quorum is appended to sc.chosen.
+    bool kept = keep != nullptr && keep->lo <= d_new && d_new <= keep->hi;
+    if (kept) {
+      ++n_interval;
+      QP_PARITY_ASSERT(static_cast<double>(grid_argmin_patched(v, element, d_new)),
+                       static_cast<double>(chosen_row_[v] * k + chosen_col_[v]), 0.0,
+                       "closest_if_moved_indexed: a keep-interval decision diverged "
+                       "from the O(k) argmin reconstruction");
+    } else {
+      const bool contains_u = mode_ == Mode::ClosestGrid
+                                  ? (chosen_row_[v] == r0 || chosen_col_[v] == c0)
+                                  : in_best_[v * n_ + element] != 0;
+      if (!contains_u && d_new > best_value_[v]) return;  // Provably unchanged.
+      sc.flip_off[v] = sc.chosen.size();
+      switch (mode_) {
+        case Mode::ClosestMajority:
+          kept = contains_u && (majority_q_ == n_ || d_new < second_value_[v]);
+          if (!kept) majority_chosen_patched(v, element, d_new, sc.chosen);
+          break;
+        case Mode::ClosestGrid: {
+          const std::size_t cell = grid_argmin_patched(v, element, d_new);
+          const bool same_cell = cell == chosen_row_[v] * k + chosen_col_[v];
+          QP_CHECK(keep == nullptr || !same_cell,
+                   "closest_if_moved_indexed: the O(k) argmin kept a charger outside "
+                   "its keep interval (interval not exact)");
+          if (same_cell) {
+            if (!contains_u) return;  // Same unmodified cell: provably unchanged.
+            kept = true;
+          } else {
+            for_each_grid_element(k, cell / k, cell % k,
+                                  [&](std::size_t e) { sc.chosen.push_back(e); });
+          }
+          break;
         }
-      }
-      const double rr = best_r == r0 ? nr : rm[best_r];
-      std::size_t best_c = 0;
-      for (std::size_t c = 0; c < k; ++c) {
-        if (std::max(rr, c == c0 ? nc : cm[c]) == best_max) {
-          best_c = c;
+        default: {  // ClosestEnumerated: Tree's DP tie-breaking is its own.
+          const double* vals = values_.data() + v * n_;
+          sc.row.assign(vals, vals + n_);
+          sc.row[element] = d_new;
+          const quorum::Quorum quorum = system_->best_quorum(sc.row);
+          sc.chosen.insert(sc.chosen.end(), quorum.begin(), quorum.end());
           break;
         }
       }
-      if (best_r == chosen_row_[v] && best_c == chosen_col_[v]) {
-        if (!contains_u) return;  // Same unmodified cell: provably unchanged.
-        // u keeps its slot in the still-winning cell: the chosen set is
-        // unchanged, only u's charge moves (the grid analogue of the
-        // majority shortcut above).
-        sc.client_state[v] = 1;
-        ++n_kept;
-        if (load) {
-          const double w = charge_weight(v);
-          touch(old_site, -w);
-          touch(site, w);
-        }
-        mark_reprice(v);
-        return;
+    }
+    const double w = load ? charge_weight(v) : 0.0;
+    if (kept) {
+      cs.state = 1;
+      ++n_kept;
+      if (load) {
+        touch(old_site, -w);
+        touch(site, w);
       }
-      sc.client_state[v] = 2;
+    } else {
+      cs.state = 2;
       ++n_recomputed;
-      sc.flip_off[v] = sc.chosen.size();
-      for_each_grid_element(k, best_r, best_c,
-                            [&](std::size_t e) { sc.chosen.push_back(e); });
       sc.flip_len[v] = sc.chosen.size() - sc.flip_off[v];
       if (load) {
-        const double w = charge_weight(v);
         for (std::size_t e : chosen_quorum_[v]) touch(placement_.site_of[e], -w);
         for (std::size_t i = sc.flip_off[v]; i < sc.chosen.size(); ++i) {
           const std::size_t e = sc.chosen[i];
           touch(e == element ? site : placement_.site_of[e], w);
         }
-      }
-      mark_reprice(v);
-      return;
-    }
-    sc.client_state[v] = 2;
-    ++n_recomputed;
-    sc.flip_off[v] = sc.chosen.size();
-    switch (mode_) {
-      case Mode::ClosestMajority:
-        majority_chosen_patched(v, element, d_new, sc.chosen);
-        break;
-      default: {  // ClosestEnumerated: Tree's DP tie-breaking is its own.
-        const double* vals = values_.data() + v * n_;
-        sc.row.assign(vals, vals + n_);
-        sc.row[element] = d_new;
-        const quorum::Quorum quorum = system_->best_quorum(sc.row);
-        sc.chosen.insert(sc.chosen.end(), quorum.begin(), quorum.end());
-        break;
-      }
-    }
-    sc.flip_len[v] = sc.chosen.size() - sc.flip_off[v];
-    if (load) {
-      const double w = charge_weight(v);
-      for (std::size_t e : chosen_quorum_[v]) touch(placement_.site_of[e], -w);
-      for (std::size_t i = sc.flip_off[v]; i < sc.chosen.size(); ++i) {
-        const std::size_t e = sc.chosen[i];
-        touch(e == element ? site : placement_.site_of[e], w);
       }
     }
     mark_reprice(v);
@@ -1317,58 +1489,97 @@ double DeltaEvaluator::closest_if_moved_indexed(std::size_t element,
   // new site to undercut m1 (the client's candidate list contains it, or
   // the client overflowed its list) — see client_index.hpp for why this is
   // exhaustive in the uncapped mode.
-  for (std::size_t v : charge_lists_[old_site]) classify(v);
-  for (std::size_t v : candidate_index_->clients_of(site)) classify(v);
-  for (std::size_t v : overflow_clients_) classify(v);
+  // Keep intervals describe the element at a singly-hosted site only.
+  const std::vector<std::size_t>& chargers = charge_lists_[old_site];
+  const KeepInterval* keep = mode_ == Mode::ClosestGrid && hosted_count_[old_site] == 1
+                                 ? keep_interval_.data() + keep_offset_[old_site]
+                                 : nullptr;
+  for (std::size_t i = 0; i < chargers.size(); ++i) {
+    classify(chargers[i], keep != nullptr ? keep + i : nullptr);
+  }
+  for (std::size_t v : candidate_index_->clients_of(site)) classify(v, nullptr);
+  for (std::size_t v : overflow_clients_) classify(v, nullptr);
   c_de_pruned.add(n_scanned - n_kept - n_recomputed);
   c_de_kept.add(n_kept);
   c_de_recomputed.add(n_recomputed);
+  c_de_interval_keeps.add(n_interval);
 
   // Clients charging a load-touched site reprice even when their choice is
   // provably unchanged — the load term under their chosen quorum moved.
   // Sites whose deltas cancelled to exactly 0.0 change nothing: their
   // chargers would reprice to bitwise the same response, so skip them.
+  // `rise` is the largest load increase a site charged by a non-flipped
+  // client sees through an element other than the moved one (the new site
+  // only counts when it already hosts something).
+  double rise = 0.0;
   if (load) {
     for (std::size_t s : sc.touched) {
       if (sc.load_delta[s] == 0.0) continue;
       for (std::size_t v : charge_lists_[s]) mark_reprice(v);
+      if (s != site || hosted_count_[site] != 0) rise = std::max(rise, sc.load_delta[s]);
     }
   }
 
   // Reprice only the affected clients against the patched loads; everyone
   // else contributes their cached response through base_total_.
-  double total = base_total_;
-  for (std::size_t v : sc.reprice) {
-    const double d_new = site_rtt(v, site);
+  // Element e's candidate term given its pre-move distance d (the moved
+  // element is priced at d_new on the new site instead).
+  const auto term = [&](std::size_t e, double d, double d_new) {
+    const bool moved = e == element;
+    const double dist = moved ? d_new : d;
+    if (!load) return dist;
+    const std::size_t s = moved ? site : placement_.site_of[e];
+    const double site_load =
+        closest_load_[s] + (sc.site_mark[s] == sc.epoch ? sc.load_delta[s] : 0.0);
+    return dist + alpha_ * site_load;
+  };
+  const auto price = [&](std::size_t v, const std::size_t* ids, std::size_t len,
+                         double d_new) {
     const double* vals = values_.data() + v * n_;
-    const std::uint8_t state =
-        sc.client_mark[v] == sc.epoch ? sc.client_state[v] : std::uint8_t{0};
-    const std::size_t* ids;
-    std::size_t len;
-    if (state == 2) {
-      ids = sc.chosen.data() + sc.flip_off[v];
-      len = sc.flip_len[v];
-    } else {
-      ids = chosen_quorum_[v].data();
-      len = chosen_quorum_[v].size();
-    }
     double worst = 0.0;
     for (std::size_t i = 0; i < len; ++i) {
-      const std::size_t e = ids[i];
-      const bool moved = e == element;
-      const double d = moved ? d_new : vals[e];
-      if (load) {
-        const std::size_t s = moved ? site : placement_.site_of[e];
-        const double site_load =
-            closest_load_[s] + (sc.site_mark[s] == sc.epoch ? sc.load_delta[s] : 0.0);
-        worst = std::max(worst, d + alpha_ * site_load);
+      worst = std::max(worst, term(ids[i], vals[ids[i]], d_new));
+    }
+    return worst;
+  };
+  const double neg_inf = -std::numeric_limits<double>::infinity();
+  double total = base_total_;
+  for (std::size_t v : sc.reprice) {
+    const ClientScratch& cs = sc.client[v];
+    const std::uint8_t state = cs.classified == sc.epoch ? cs.state : std::uint8_t{0};
+    // Only classified clients can hold the moved element; for the others
+    // d_new is never read.
+    const double d_new = state != 0 ? cs.d_new : 0.0;
+    const quorum::Quorum& chosen = chosen_quorum_[v];
+    double worst;
+    if (state == 2) {
+      worst = price(v, sc.chosen.data() + sc.flip_off[v], sc.flip_len[v], d_new);
+    } else {
+      // The choice did not flip: every term outside the certificate's top
+      // two (and the moved element's) was <= third and rose by at most
+      // alpha * rise, so if that stays strictly below the recomputed terms'
+      // maximum, the full max is exactly that maximum.
+      const PriceCert& cert = price_cert_[v];
+      double top = 0.0;
+      if (cert.first < n_) top = std::max(top, term(cert.first, cert.first_d, d_new));
+      if (cert.second < n_) top = std::max(top, term(cert.second, cert.second_d, d_new));
+      if (state == 1) top = std::max(top, term(element, d_new, d_new));
+      const double rest = load ? cert.third + alpha_ * rise : cert.third;
+      if (cert.third == neg_inf || rest + kCertSlack * std::fabs(rest) < top) {
+        worst = top;
+        ++n_certified;
+        QP_PARITY_ASSERT(worst, price(v, chosen.data(), chosen.size(), d_new), 0.0,
+                         "closest_if_moved_indexed: a certified reprice diverged from "
+                         "the full quorum loop");
       } else {
-        worst = std::max(worst, d);
+        worst = price(v, chosen.data(), chosen.size(), d_new);
       }
     }
     total += (client_weight_.empty() ? 1.0 : client_weight_[v]) *
              (worst - client_sum_[v]);
   }
+  c_de_repriced.add(sc.reprice.size());
+  c_de_certified.add(n_certified);
   const double result =
       client_weight_.empty() ? total / static_cast<double>(clients_) : total;
 #if QP_PARITY_AUDIT_ENABLED

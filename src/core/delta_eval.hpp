@@ -52,12 +52,26 @@
 //     order) — so colocated placements (which tie constantly) stay in exact
 //     parity with the naive closest evaluation.
 // The candidate load table is the maintained one patched by the (few)
-// flipped choices; the response pass then reprices every client's chosen
-// quorum in O(|Q|). apply_move repairs the distance rows (one coordinate
-// per client), the per-client sorted/maxima tables, and the quorum-choice
-// tables in place — no full rebuild — then reaccumulates loads and
-// responses from the repaired tables so floating-point drift cannot
-// compound across moves.
+// flipped choices; the response pass then reprices the clients whose
+// inputs changed (the full scan reprices all of them) in O(|Q|) each.
+// apply_move repairs the distance rows (one coordinate per client), the
+// per-client sorted/maxima tables, and the quorum-choice tables in place —
+// no full rebuild — then reaccumulates loads and responses from the
+// repaired tables so floating-point drift cannot compound across moves.
+//
+// With a ClientCandidateIndex attached, a candidate costs time in
+// proportion to the clients whose price can change:
+//   * Grid keep intervals: for every charge-list entry (client v charging
+//     the element at site s) a closed interval [lo, hi] of new distances
+//     over which v's chosen cell stays the first-wins row-major argmin, so
+//     a charger of the moved element is kept after one d(v, w) and two
+//     compares; only chargers outside their interval pay the O(k) argmin.
+//   * Certified reprice: each client's priced terms are summarized by the
+//     elements of the top two and the third-largest value, so a client
+//     whose choice did not flip is repriced from at most three terms when
+//     the rest provably stay below them (else by the O(|Q|) loop).
+// Both shortcuts return bitwise what the per-client loops they replace
+// return, and are audited against them at QP_CHECK_LEVEL >= 2.
 //
 // All modes return values within ~1e-12 of Objective::evaluate (summation
 // order differs, so bit-identity is not guaranteed), and apply_move audits
@@ -202,6 +216,25 @@ class DeltaEvaluator {
   void reaccumulate_closest_dirty(std::span<const std::size_t> touched_clients,
                                   std::vector<std::pair<std::size_t, std::size_t>>& new_charges,
                                   std::vector<std::size_t>& affected_sites);
+  /// Prices client v's chosen quorum under closest_load_ into client_sum_[v]
+  /// and its reprice certificate price_cert_[v].
+  void price_closest_client(std::size_t v);
+  /// Recomputes the state derived from the charge lists after a rebuild or
+  /// repair: the coverage-overflow set and, for Grid, the keep intervals.
+  void refresh_candidate_tables();
+  /// ClosestGrid: first-wins row-major argmin cell (r * k + c) of client
+  /// v's grid with `element`'s distance patched to d — O(k), exact.
+  [[nodiscard]] std::size_t grid_argmin_patched(std::size_t v, std::size_t element,
+                                                double d) const;
+  /// Closed range [lo, hi] of distances (empty when lo > hi).
+  struct KeepInterval {
+    double lo;
+    double hi;
+  };
+  /// ClosestGrid: out[i] = the distances d for the i-th element of client
+  /// v's chosen quorum at which v's chosen cell stays the argmin; O(k) for
+  /// the whole quorum.
+  void grid_keep_intervals(std::size_t v, KeepInterval* out) const;
   /// Per-client weight: demand share, or 1/|V| for the uniform objective.
   [[nodiscard]] double charge_weight(std::size_t v) const noexcept;
 
@@ -234,7 +267,7 @@ class DeltaEvaluator {
   std::span<const double> lambda_;
   std::vector<double> site_load_;          // sites: sum of hosted lambda_u.
   std::vector<double> site_term_;          // sites: alpha * site_load_.
-  std::vector<std::size_t> hosted_count_;  // sites: # hosted elements.
+  std::vector<std::size_t> hosted_count_;  // sites: # hosted elements (also closest).
 
   /// Weighted sum over clients of R_v, and R_v itself (or the per-client
   /// quorum-sum S_v for the Grid/Enumerated balanced modes, see .cpp).
@@ -274,6 +307,19 @@ class DeltaEvaluator {
   std::vector<double> best_value_;              // m1: chosen quorum's network max.
   std::vector<double> second_value_;            // Majority: y[q] (+inf if q == n).
   std::vector<double> closest_load_;            // Weighted load_f per site.
+  // Reprice certificate, written with client_sum_: the elements holding the
+  // two largest priced terms of the chosen quorum (n_ if absent) with their
+  // distances, and the third-largest term value (-inf if absent). Every
+  // other term is <= third. A client whose chosen quorum contains a moved
+  // element is always repriced, so the stored distances stay current.
+  struct PriceCert {
+    std::size_t first;
+    std::size_t second;
+    double third;
+    double first_d;
+    double second_d;
+  };
+  std::vector<PriceCert> price_cert_;
 
   // Sparse candidate evaluation (closest modes, optional): the attached
   // per-client candidate lists, the site -> charging-clients lists (one
@@ -284,6 +330,12 @@ class DeltaEvaluator {
   const ClientCandidateIndex* candidate_index_ = nullptr;
   std::vector<std::vector<std::size_t>> charge_lists_;  // sites -> clients.
   std::vector<std::size_t> overflow_clients_;
+  // ClosestGrid: keep_interval_[keep_offset_[s] + i] is the keep interval of
+  // charge_lists_[s][i] for the element at s (unset, and never read, when s
+  // hosts several elements); refreshed whenever the charge lists are rebuilt
+  // or repaired.
+  std::vector<std::size_t> keep_offset_;  // sites + 1.
+  std::vector<KeepInterval> keep_interval_;
   // apply_move scratch (clients-sized flags, cleared per accepted move).
   std::vector<std::uint8_t> dirty_client_;
   std::vector<std::uint8_t> reprice_client_;

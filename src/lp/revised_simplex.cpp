@@ -628,7 +628,7 @@ SolveResult RevisedSimplexSolver::solve(LpProblem& problem) const {
   c_rs_solves.add();
   c_rs_iterations.add(result.iterations);
   c_rs_refactorizations.add(state.refactor_count());
-  g_rs_eta_len_max.set(static_cast<double>(state.eta_len_max()));
+  g_rs_eta_len_max.set_max(static_cast<double>(state.eta_len_max()));
   return result;
 }
 

@@ -1,5 +1,6 @@
 #include "net/matrix_io.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -43,6 +44,25 @@ double parse_double(const std::string& token, const char* what) {
   }
 }
 
+/// The site count: a plain decimal integer in [1, kMaxMatrixSites]. A sign,
+/// fraction, exponent, nan/inf, trailing characters, or a count over the cap
+/// is rejected before anything is allocated.
+std::size_t parse_site_count(const std::string& token) {
+  std::size_t value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec == std::errc::invalid_argument || ptr != end) {
+    throw std::runtime_error{"matrix_io: bad site count: '" + token +
+                             "' (expected a positive integer)"};
+  }
+  if (ec == std::errc::result_out_of_range || value > kMaxMatrixSites) {
+    throw std::runtime_error{"matrix_io: site count '" + token + "' exceeds the limit of " +
+                             std::to_string(kMaxMatrixSites)};
+  }
+  if (value == 0) throw std::runtime_error{"matrix_io: site count must be positive"};
+  return value;
+}
+
 bool looks_numeric(const std::string& token) {
   try {
     std::size_t pos = 0;
@@ -59,8 +79,7 @@ LatencyMatrix read_matrix(std::istream& in) {
   TokenReader reader{in};
   std::string token;
   if (!reader.next(token)) throw std::runtime_error{"matrix_io: empty input"};
-  const auto n = static_cast<std::size_t>(parse_double(token, "site count"));
-  if (n == 0) throw std::runtime_error{"matrix_io: site count must be positive"};
+  const std::size_t n = parse_site_count(token);
 
   if (!reader.next(token)) throw std::runtime_error{"matrix_io: truncated input"};
 
@@ -76,14 +95,22 @@ LatencyMatrix read_matrix(std::istream& in) {
     if (!reader.next(token)) throw std::runtime_error{"matrix_io: missing matrix body"};
   }
 
-  std::vector<std::vector<double>> rtt(n, std::vector<double>(n, 0.0));
+  // Rows are allocated as they arrive, so a header promising more rows than
+  // the body holds fails on the truncation, not on the allocation.
+  std::vector<std::vector<double>> rtt;
   for (std::size_t i = 0; i < n; ++i) {
+    std::vector<double>& row = rtt.emplace_back();
+    row.reserve(n);
     for (std::size_t j = 0; j < n; ++j) {
       if (i != 0 || j != 0) {
         if (!reader.next(token)) throw std::runtime_error{"matrix_io: truncated matrix body"};
       }
-      rtt[i][j] = parse_double(token, "matrix entry");
+      row.push_back(parse_double(token, "matrix entry"));
     }
+  }
+  if (reader.next(token)) {
+    throw std::runtime_error{"matrix_io: trailing input after the matrix body: '" + token +
+                             "'"};
   }
   try {
     return LatencyMatrix{std::move(rtt), std::move(names), /*symmetry_tolerance=*/1e-3};

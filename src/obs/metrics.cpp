@@ -324,14 +324,19 @@ void counter_add(std::uint32_t id, std::uint64_t n) noexcept {
   store_slot(slot, load_slot(slot) + n);
 }
 
-void gauge_set(std::uint32_t id, double value) noexcept {
+void gauge_set_max(std::uint32_t id, double value) noexcept {
   if (!enabled()) return;
   Registry& reg = Registry::instance();
   Shard& shard = local_shard();
   const MetricInfo& info = reg.info(id);
   if (info.offset + info.slots > shard.slots.size()) reg.grow_shard(shard);
-  store_slot(shard.slots[info.offset], 1);
-  store_slot(shard.slots[info.offset + 1], std::bit_cast<std::uint64_t>(value));
+  std::uint64_t* base = shard.slots.data() + info.offset;
+  if (load_slot(base[0]) != 0 &&
+      !(value > std::bit_cast<double>(load_slot(base[1])))) {
+    return;
+  }
+  store_slot(base[0], 1);
+  store_slot(base[1], std::bit_cast<std::uint64_t>(value));
 }
 
 void histogram_record(std::uint32_t id, double value) noexcept {

@@ -7,9 +7,10 @@
 //     hot path never takes a lock; registration, shard growth, export, and
 //     reset serialize on the registry mutex.
 //   * All merged quantities are order-independent — counters and histogram
-//     buckets sum 64-bit integers, gauges and histogram min/max merge by
-//     max/min — so exported values are identical for any thread count and
-//     any thread-retirement order. Shards of exited threads retire into an
+//     buckets sum 64-bit integers, gauges (high-water marks) and histogram
+//     min/max fold by max/min, within a shard and across shards — so
+//     exported values are identical for any thread count and any
+//     thread-retirement order. Shards of exited threads retire into an
 //     integer accumulator; export walks metrics in registration order.
 //   * Compiled to true no-ops when the build defines QP_OBS=0 (the CMake
 //     QP_OBS cache option); gated at runtime by the QP_OBS environment
@@ -69,7 +70,7 @@ inline constexpr std::size_t kHistogramBuckets = 64;
 
 namespace detail {
 void counter_add(std::uint32_t id, std::uint64_t n) noexcept;
-void gauge_set(std::uint32_t id, double value) noexcept;
+void gauge_set_max(std::uint32_t id, double value) noexcept;
 void histogram_record(std::uint32_t id, double value) noexcept;
 }  // namespace detail
 
@@ -87,14 +88,15 @@ class Counter {
   std::uint32_t id_ = 0;
 };
 
-/// Last-set level per shard; the merged export takes the maximum across
-/// shards (order-independent — use gauges for high-water marks and
-/// configuration levels, not for racing last-write-wins state).
+/// High-water mark: each shard keeps the maximum value recorded, and the
+/// merged export takes the maximum across shards. Max is a monotone fold,
+/// so the export is the maximum over all recordings whatever thread made
+/// them and in whatever order.
 class Gauge {
  public:
   constexpr Gauge() = default;
-  void set(double value) const noexcept {
-    if constexpr (kCompiled) detail::gauge_set(id_, value);
+  void set_max(double value) const noexcept {
+    if constexpr (kCompiled) detail::gauge_set_max(id_, value);
   }
 
  private:

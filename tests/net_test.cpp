@@ -3,6 +3,8 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "common/rng.hpp"
 #include "net/graph.hpp"
@@ -268,6 +270,43 @@ TEST(MatrixIo, RejectsMalformedInput) {
   EXPECT_THROW((void)read_matrix(asym), std::runtime_error);
   EXPECT_THROW((void)read_matrix_file("/nonexistent/path.txt"), std::runtime_error);
 }
+
+/// A hostile header (or trailer) and the message fragment it must produce.
+struct BadMatrixInput {
+  const char* label;
+  const char* text;
+  const char* message;
+};
+
+class MatrixIoRejects : public ::testing::TestWithParam<BadMatrixInput> {};
+
+TEST_P(MatrixIoRejects, WithTheDocumentedRuntimeError) {
+  // Every bad input throws std::runtime_error — never length_error (a
+  // negative or NaN count cast to size_t), bad_alloc (a huge count
+  // allocated up front), or a silently truncated count.
+  std::stringstream in{GetParam().text};
+  try {
+    (void)read_matrix(in);
+    FAIL() << "accepted: " << GetParam().text;
+  } catch (const std::runtime_error& err) {
+    EXPECT_NE(std::string{err.what()}.find(GetParam().message), std::string::npos)
+        << err.what();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    HostileHeaders, MatrixIoRejects,
+    ::testing::Values(
+        BadMatrixInput{"Fractional", "2.7\n0 1\n1 0\n", "bad site count"},
+        BadMatrixInput{"Negative", "-1\n0\n", "bad site count"},
+        BadMatrixInput{"NotANumber", "nan\n0\n", "bad site count"},
+        BadMatrixInput{"Exponent", "1e30\n0\n", "bad site count"},
+        BadMatrixInput{"TrailingJunk", "2x\n0 1\n1 0\n", "bad site count"},
+        BadMatrixInput{"Zero", "0\n", "must be positive"},
+        BadMatrixInput{"OverCap", "3000000000\n0 1\n1 0\n", "exceeds the limit"},
+        BadMatrixInput{"Overflow", "99999999999999999999999\n0\n", "exceeds the limit"},
+        BadMatrixInput{"TrailingBody", "2\n0 1\n1 0\n7\n", "trailing input"}),
+    [](const ::testing::TestParamInfo<BadMatrixInput>& info) { return info.param.label; });
 
 }  // namespace
 }  // namespace qp::net

@@ -6,6 +6,7 @@
 // zero-allocation contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -51,8 +52,19 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc{};
 }
 
+// The nothrow form (std::stable_sort's temporary buffer) must come from the
+// same malloc as the replaced deletes free into, or ASan reports an
+// alloc-dealloc mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  if (g_count_allocs.load(std::memory_order_relaxed)) {
+    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  }
+  return std::malloc(size == 0 ? 1 : size);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace qp::obs {
 namespace {
@@ -216,13 +228,86 @@ TEST(ObsRegistry, ExportIsRegistrationOrderedAndDeterministic) {
 TEST(ObsRegistry, GaugeMergesByMaxAcrossShards) {
   const ObsGuard guard;
   const Gauge g = gauge("obs_test.g.max");
-  g.set(3.0);
-  std::thread([&] { g.set(7.0); }).join();
-  std::thread([&] { g.set(5.0); }).join();
-  const MetricSnapshot* m = find_metric(snapshot(), "obs_test.g.max");
+  g.set_max(3.0);
+  std::thread([&] { g.set_max(7.0); }).join();
+  std::thread([&] { g.set_max(5.0); }).join();
+  const std::vector<MetricSnapshot> snap = snapshot();
+  const MetricSnapshot* m = find_metric(snap, "obs_test.g.max");
   ASSERT_NE(m, nullptr);
   EXPECT_TRUE(m->gauge_set);
   EXPECT_EQ(m->gauge_value, 7.0);
+}
+
+TEST(ObsRegistry, GaugeIsAHighWaterMarkWithinAShard) {
+  const ObsGuard guard;
+  const Gauge g = gauge("obs_test.g.hwm");
+  g.set_max(9.0);
+  g.set_max(2.0);  // A later, lower value does not overwrite the mark.
+  const std::vector<MetricSnapshot> snap = snapshot();
+  const MetricSnapshot* m = find_metric(snap, "obs_test.g.hwm");
+  ASSERT_NE(m, nullptr);
+  EXPECT_EQ(m->gauge_value, 9.0);
+}
+
+/// The exported JSON objects of the `lp.` metrics, in export order.
+std::string lp_metrics_json() {
+  std::ostringstream out;
+  export_json(out);
+  const std::string json = out.str();
+  std::string lp;
+  for (std::size_t at = json.find("{\"name\":\"lp."); at != std::string::npos;
+       at = json.find("{\"name\":\"lp.", at + 1)) {
+    lp += json.substr(at, json.find('}', at) + 1 - at);
+  }
+  return lp;
+}
+
+TEST(ObsRegistry, PooledLpSolvesExportTheSameGaugeAtAnyThreadCount) {
+  // lp.revised.eta_len_max over strategy LPs solved on a pool: the gauge is
+  // the largest eta file of any solve, not the last solve's — so the export
+  // does not depend on which worker ran which solve, or in what order.
+  const ObsGuard guard;
+  const quorum::GridQuorum grid{2};
+  core::StrategyLpOptions options;
+  options.solver = core::StrategyLpSolver::Revised;
+  // Problems of different sizes, so their eta files differ in length.
+  std::vector<net::LatencyMatrix> matrices;
+  for (std::size_t sites = 5; sites <= 26; sites += 3) {
+    matrices.push_back(net::small_synth(sites, 9 + sites));
+  }
+  const core::Placement placement{std::vector<std::size_t>{0, 1, 2, 3}};
+  const auto solve = [&](const net::LatencyMatrix& m) {
+    const std::vector<double> caps(m.size(), 0.7);
+    return core::optimize_access_strategy(m, grid, placement, caps, options);
+  };
+  const auto eta_len_max = [] {
+    const std::vector<MetricSnapshot> snap = snapshot();
+    const MetricSnapshot* g = find_metric(snap, "lp.revised.eta_len_max");
+    return g != nullptr && g->gauge_set ? g->gauge_value : -1.0;
+  };
+  // Each solve alone; then order the largest first, so a last-write-wins
+  // gauge would export a smaller value than the high-water mark.
+  std::vector<double> alone;
+  for (const net::LatencyMatrix& m : matrices) {
+    reset();
+    ASSERT_EQ(solve(m).solver_used, core::StrategyLpSolver::Revised);
+    alone.push_back(eta_len_max());
+  }
+  const auto top = std::max_element(alone.begin(), alone.end());
+  ASSERT_LT(*std::min_element(alone.begin(), alone.end()), *top)
+      << "vacuous: every solve had the same eta file length";
+  std::rotate(matrices.begin(), matrices.begin() + (top - alone.begin()), matrices.end());
+
+  const auto pooled = [&](std::size_t threads) {
+    reset();
+    common::ThreadPool pool{threads};
+    pool.parallel_for(0, matrices.size(), [&](std::size_t i) { (void)solve(matrices[i]); });
+    EXPECT_EQ(eta_len_max(), *top) << threads << " threads";
+    return lp_metrics_json();
+  };
+  const std::string serial = pooled(1);
+  EXPECT_NE(serial.find("lp.revised.eta_len_max"), std::string::npos);
+  EXPECT_EQ(pooled(4), serial);
 }
 
 TEST(ObsRegistry, ResetZeroesValuesButKeepsRegistrations) {
