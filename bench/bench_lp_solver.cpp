@@ -4,18 +4,14 @@
 // support set, each level warm-startable from the previous optimal basis.
 //
 // Rows per topology size n (grid 7x7 universe, best-grid placement):
-//   LpSolver/phase_ladder_cold_dense/nN    — historical tableau simplex,
-//                                            every level from scratch
-//                                            (skipped at n=2000: the dense
-//                                            tableau alone is ~1.6 GB);
 //   LpSolver/phase_ladder_cold_revised/nN  — sparse revised simplex, every
 //                                            level from scratch;
 //   LpSolver/phase_ladder_warm_revised/nN  — sparse revised simplex, each
 //                                            level warm-started from the
 //                                            previous level's basis.
 // Counters: ms_total over the ladder, simplex iterations summed, max
-// relative objective disagreement vs the dense reference (<= 1e-9 on every
-// config the reference can afford), and speedup vs the cold dense row.
+// relative objective disagreement vs the cold row, and speedup vs the cold
+// row.
 // The ladder starts at the uncapacitated optimum's peak site load and
 // tightens in 4% steps while the LP stays feasible, so the capacity rows
 // genuinely bind (the transportation specialization is the separate
@@ -97,18 +93,15 @@ struct SizedCase {
   std::shared_ptr<qp::net::LatencyMatrix> matrix;
   std::shared_ptr<qp::core::Placement> placement;
   std::shared_ptr<std::vector<std::vector<double>>> ladder;
-  bool dense_affordable = true;
 };
 
-SizedCase make_case(qp::sim::Scenario scenario, const qp::quorum::QuorumSystem& system,
-                    bool dense_affordable) {
+SizedCase make_case(qp::sim::Scenario scenario, const qp::quorum::QuorumSystem& system) {
   SizedCase out;
   const std::size_t n = scenario.site_count();
   out.label = "n" + std::to_string(n);
   out.matrix = std::make_shared<qp::net::LatencyMatrix>(std::move(scenario.matrix));
   out.placement = std::make_shared<qp::core::Placement>(
       qp::core::best_grid_placement(*out.matrix, 7).placement);
-  out.dense_affordable = dense_affordable;
 
   // Uncapacitated optimum -> peak site load L; ladder = fractions of L that
   // stay feasible. Infeasible levels end the ladder (every engine solves
@@ -149,17 +142,17 @@ int main(int argc, char** argv) {
   {
     qp::sim::ScenarioConfig small;
     small.site_count = 49;
-    cases.push_back(make_case(qp::sim::make_scenario(small), *grid, true));
+    cases.push_back(make_case(qp::sim::make_scenario(small), *grid));
   }
-  cases.push_back(make_case(qp::sim::daxlist161_scenario(), *grid, true));
-  cases.push_back(make_case(qp::sim::synthetic500_scenario(), *grid, true));
+  cases.push_back(make_case(qp::sim::daxlist161_scenario(), *grid));
+  cases.push_back(make_case(qp::sim::synthetic500_scenario(), *grid));
   {
     qp::sim::ScenarioConfig large;
     large.site_count = 2000;
-    cases.push_back(make_case(qp::sim::make_scenario(large), *grid, false));
+    cases.push_back(make_case(qp::sim::make_scenario(large), *grid));
   }
 
-  std::cout << "case,engine,levels,ms_total,iterations,max_rel_diff,speedup_vs_cold_dense\n";
+  std::cout << "case,engine,levels,ms_total,iterations,max_rel_diff,speedup_vs_cold_revised\n";
   for (const SizedCase& sized : cases) {
     const LadderResult cold_revised = run_ladder(
         *sized.matrix, *grid, *sized.placement, *sized.ladder,
@@ -167,27 +160,16 @@ int main(int argc, char** argv) {
     const LadderResult warm_revised = run_ladder(
         *sized.matrix, *grid, *sized.placement, *sized.ladder,
         StrategyLpSolver::Revised, /*warm=*/true);
-    LadderResult cold_dense;
-    if (sized.dense_affordable) {
-      cold_dense = run_ladder(*sized.matrix, *grid, *sized.placement, *sized.ladder,
-                              StrategyLpSolver::Dense, /*warm=*/false);
-    }
-    const std::vector<double>& reference =
-        sized.dense_affordable ? cold_dense.objectives : cold_revised.objectives;
 
     struct Row {
       const char* engine;
       const LadderResult* result;
     };
-    std::vector<Row> rows;
-    if (sized.dense_affordable) rows.push_back({"cold_dense", &cold_dense});
-    rows.push_back({"cold_revised", &cold_revised});
-    rows.push_back({"warm_revised", &warm_revised});
-    for (const Row& row : rows) {
-      const double diff = max_rel_diff(row.result->objectives, reference);
-      const double speedup = sized.dense_affordable && row.result->ms_total > 0.0
-                                 ? cold_dense.ms_total / row.result->ms_total
-                                 : 0.0;
+    for (const Row& row : {Row{"cold_revised", &cold_revised},
+                           Row{"warm_revised", &warm_revised}}) {
+      const double diff = max_rel_diff(row.result->objectives, cold_revised.objectives);
+      const double speedup =
+          row.result->ms_total > 0.0 ? cold_revised.ms_total / row.result->ms_total : 0.0;
       std::cout << sized.label << ',' << row.engine << ','
                 << row.result->objectives.size() << ',' << row.result->ms_total << ','
                 << row.result->iterations << ',' << diff << ',' << speedup << '\n';
@@ -199,7 +181,7 @@ int main(int argc, char** argv) {
             state.counters["ms_total"] = ms;
             state.counters["iterations"] = iters;
             state.counters["max_rel_diff"] = diff;
-            state.counters["speedup_vs_cold_dense"] = speedup;
+            state.counters["speedup_vs_cold_revised"] = speedup;
           });
     }
   }

@@ -8,6 +8,7 @@
 
 #include "core/strategy.hpp"
 #include "flow/assignment.hpp"
+#include "lp/revised_simplex.hpp"
 
 namespace qp::core {
 
@@ -24,7 +25,6 @@ FractionalPlacement solve_placement_lp(const net::LatencyMatrix& matrix,
                                        std::span<const double> distribution,
                                        std::span<const double> element_load,
                                        std::span<const double> capacities, std::size_t v0,
-                                       const ManyToOneOptions& options,
                                        lp::SolveStatus& status) {
   const std::size_t sites = matrix.size();
   const std::size_t n = element_load.size();
@@ -64,8 +64,13 @@ FractionalPlacement solve_placement_lp(const net::LatencyMatrix& matrix,
     }
   }
 
-  const lp::SimplexSolver solver{options.simplex};
-  const lp::Solution solution = solver.solve(problem);
+  // Full Dantzig pricing over every structural and slack column. These LPs
+  // are highly degenerate: a partial window ends on other optimal vertices,
+  // and the rounding below turns a different vertex into a different
+  // placement.
+  lp::SimplexOptions simplex;
+  simplex.pricing_window = std::numeric_limits<std::size_t>::max();
+  const lp::SolveResult solution = lp::RevisedSimplexSolver{simplex}.solve(problem);
   status = solution.status;
 
   FractionalPlacement fractional;
@@ -194,7 +199,7 @@ ManyToOneResult many_to_one_placement(const net::LatencyMatrix& matrix,
 
   ManyToOneResult result;
   FractionalPlacement fractional =
-      solve_placement_lp(matrix, quorums, quorum_distribution, load, capacities, v0, options,
+      solve_placement_lp(matrix, quorums, quorum_distribution, load, capacities, v0,
                          result.status);
   if (result.status != lp::SolveStatus::Optimal) return result;
   result.lp_delay_bound = fractional.objective;

@@ -28,7 +28,6 @@ struct ManyToOneOptions {
   /// keeps assignments within twice the fractional average distance).
   double epsilon = 1.0;
   std::size_t quorum_limit = 100'000;
-  lp::SimplexOptions simplex{};
 };
 
 struct ManyToOneResult {

@@ -20,7 +20,6 @@ namespace {
 // iterations, and whether a supplied warm basis carried the solve or
 // stalled into the cold retry.
 const obs::Counter c_slp_solves = obs::counter("lp.strategy.solves");
-const obs::Counter c_slp_dense = obs::counter("lp.strategy.solver_dense");
 const obs::Counter c_slp_revised = obs::counter("lp.strategy.solver_revised");
 const obs::Counter c_slp_transportation =
     obs::counter("lp.strategy.solver_transportation");
@@ -385,9 +384,8 @@ StrategyLpResult optimize_access_strategy(const net::LatencyMatrix& matrix,
   }
 
   // Objective coefficients w_v * delta_f(v, Q_i), indexed v * m + i, with
-  // w_v = demand share (the flat 1/|V| when unweighted). Computed once, in
-  // the historical arithmetic order, so every engine prices the same LP and
-  // the Dense path stays bitwise identical to the pre-specialization code.
+  // w_v = demand share (the flat 1/|V| when unweighted). Computed once, so
+  // both engines price the same LP.
   std::vector<double> delay_cost(client_count * m, 0.0);
   double total_weight = 0.0;
   for (std::size_t v = 0; v < client_count; ++v) {
@@ -455,20 +453,6 @@ StrategyLpResult optimize_access_strategy(const net::LatencyMatrix& matrix,
 
   StrategyLpResult result;
   result.solver_used = engine;
-  if (engine == StrategyLpSolver::Dense) {
-    const lp::SimplexSolver solver{options.simplex};
-    const lp::Solution solution = solver.solve(problem);
-    c_slp_dense.add();
-    c_slp_iterations.add(solution.iterations);
-    result.status = solution.status;
-    result.lp_iterations = solution.iterations;
-    if (solution.status != lp::SolveStatus::Optimal) return result;
-    result.avg_network_delay = solution.objective;
-    result.strategy.quorums = quorums;
-    fill_strategy_rows(result, solution.values, client_count, m);
-    return result;
-  }
-
   const lp::RevisedSimplexSolver solver{options.simplex};
   lp::SolveResult solution = solver.solve(problem);
   bool warm_stalled = false;

@@ -85,13 +85,12 @@ enum class ExecutionModel { PerElement, Collapsed };
 /// Which engine solves LP (4.3)-(4.6).
 ///   Auto           — Transportation when no capacity row can bind (the LP
 ///                    decouples per client), Revised otherwise;
-///   Dense          — the historical tableau simplex, kept as the parity
-///                    reference (objective agreement <= 1e-9, test-pinned);
 ///   Revised        — the sparse revised simplex (lp/revised_simplex), the
 ///                    only path that honors warm starts;
 ///   Transportation — the uncapacitated specialization on flow/mincost_flow;
 ///                    falls back to Revised when capacity rows can bind.
-enum class StrategyLpSolver { Auto, Dense, Revised, Transportation };
+/// Tests pin both engines to optima certified by lp::certify_optimality.
+enum class StrategyLpSolver { Auto, Revised, Transportation };
 
 struct StrategyLpResult {
   lp::SolveStatus status = lp::SolveStatus::Infeasible;
@@ -99,7 +98,7 @@ struct StrategyLpResult {
   double avg_network_delay = 0.0;     // LP objective (4.3).
   std::size_t lp_iterations = 0;
   /// The engine that actually solved the LP (Auto/Transportation resolved).
-  StrategyLpSolver solver_used = StrategyLpSolver::Dense;
+  StrategyLpSolver solver_used = StrategyLpSolver::Revised;
   /// Optimal basis of the Revised path (empty for the other engines). Feed
   /// it back through options.simplex.initial_basis to warm-start the next
   /// solve of an identically-shaped LP (same placement support set).

@@ -123,4 +123,39 @@ double LpProblem::max_violation(const std::vector<double>& x) const {
   return worst;
 }
 
+bool OptimalityCertificate::holds() const noexcept {
+  return primal_violation <= kTolerance && dual_sign_violation <= kTolerance &&
+         reduced_cost_violation <= kTolerance &&
+         duality_gap <= kTolerance * std::max(1.0, std::abs(objective));
+}
+
+OptimalityCertificate certify_optimality(const LpProblem& problem,
+                                         const std::vector<double>& values,
+                                         const std::vector<double>& duals) {
+  if (duals.size() != problem.row_count()) {
+    throw std::invalid_argument{"certify_optimality: dual count != row count"};
+  }
+  OptimalityCertificate certificate;
+  certificate.primal_violation = problem.max_violation(values);
+  certificate.objective = problem.objective_value(values);
+
+  double dual_objective = 0.0;
+  for (std::size_t i = 0; i < duals.size(); ++i) {
+    dual_objective += problem.rhs(i) * duals[i];
+    const RowSense sense = problem.row_sense(i);
+    if (sense == RowSense::LessEqual) {
+      certificate.dual_sign_violation = std::max(certificate.dual_sign_violation, duals[i]);
+    } else if (sense == RowSense::GreaterEqual) {
+      certificate.dual_sign_violation = std::max(certificate.dual_sign_violation, -duals[i]);
+    }
+  }
+  for (std::size_t j = 0; j < problem.variable_count(); ++j) {
+    double reduced = problem.objective_coefficient(j);
+    for (const ColumnEntry& entry : problem.column(j)) reduced -= duals[entry.row] * entry.value;
+    certificate.reduced_cost_violation = std::max(certificate.reduced_cost_violation, -reduced);
+  }
+  certificate.duality_gap = std::abs(certificate.objective - dual_objective);
+  return certificate;
+}
+
 }  // namespace qp::lp

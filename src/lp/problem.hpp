@@ -1,7 +1,9 @@
 // Linear-program container: minimize c^T x subject to sparse linear rows and
 // x >= 0. This is the modeling layer that replaces the paper's GNU MathProg
 // models; the access-strategy LP (4.3)-(4.6) and the many-to-one placement
-// LP are both built through this interface and solved by lp::SimplexSolver.
+// LP are both built through this interface and solved by
+// lp::RevisedSimplexSolver. certify_optimality checks a claimed optimum
+// against the problem alone, independent of the solver that produced it.
 //
 // Variables are non-negative. Upper bounds must be expressed as rows by the
 // caller when needed; the LPs in this codebase never need explicit upper
@@ -66,5 +68,40 @@ class LpProblem {
   std::vector<double> rhs_;
   std::vector<std::string> row_names_;
 };
+
+/// Residuals of the LP duality certificate for a primal point x and row
+/// duals y, in the sign convention of lp::SolveResult (minimization: y_i <= 0
+/// on LessEqual rows, y_i >= 0 on GreaterEqual rows, free on Equal rows).
+/// Primal feasibility, dual feasibility and a zero gap c^T x = b^T y prove x
+/// optimal by weak duality; complementary slackness follows, because the gap
+/// is the sum of the non-negative products x_j * reduced_cost_j and
+/// y_i * (A_i x - b_i).
+struct OptimalityCertificate {
+  /// LpProblem::max_violation(x): worst row or sign violation.
+  double primal_violation = 0.0;
+  /// Worst wrong-sign dual: y_i on a LessEqual row, -y_i on a GreaterEqual row.
+  double dual_sign_violation = 0.0;
+  /// Worst negative reduced cost c_j - y^T A_j.
+  double reduced_cost_violation = 0.0;
+  /// |c^T x - b^T y|.
+  double duality_gap = 0.0;
+  /// c^T x.
+  double objective = 0.0;
+
+  /// Acceptance bound of holds(): absolute on the first three residuals,
+  /// relative to max(1, |c^T x|) on the gap.
+  static constexpr double kTolerance = 1e-7;
+
+  /// True when the first three residuals are <= kTolerance and the gap is
+  /// <= kTolerance * max(1, |c^T x|). A non-finite x or y makes the gap NaN
+  /// or infinite, so it never holds.
+  [[nodiscard]] bool holds() const noexcept;
+};
+
+/// Checks a claimed optimum (x = values, y = duals) of `problem` in
+/// O(nonzeros). Throws std::invalid_argument on a size mismatch.
+[[nodiscard]] OptimalityCertificate certify_optimality(const LpProblem& problem,
+                                                       const std::vector<double>& values,
+                                                       const std::vector<double>& duals);
 
 }  // namespace qp::lp

@@ -4,10 +4,21 @@
 #include <cmath>
 #include <limits>
 
+#include "common/check.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace qp::lp {
+
+std::string to_string(SolveStatus status) {
+  switch (status) {
+    case SolveStatus::Optimal: return "optimal";
+    case SolveStatus::Infeasible: return "infeasible";
+    case SolveStatus::Unbounded: return "unbounded";
+    case SolveStatus::IterationLimit: return "iteration-limit";
+  }
+  return "unknown";
+}
 
 namespace {
 
@@ -331,8 +342,8 @@ class RevisedState {
     return columns_.size() - 1;
   }
 
-  /// Cold start: slack basic on <= rows, artificial on = and >= rows (the
-  /// same all-(+1)-unit basis the dense solver starts from).
+  /// Cold start: slack basic on <= rows, artificial on = and >= rows (an
+  /// all-(+1)-unit basis, so B = I).
   void cold_basis() {
     std::fill(in_basis_.begin(), in_basis_.end(), false);
     for (std::size_t i = 0; i < rows_; ++i) {
@@ -507,7 +518,7 @@ class RevisedState {
       // above; phase-1 infeasible rows block when theirs reaches zero from
       // below (the composite objective's slope changes there); zero-level
       // basic artificials may leave on a degenerate pivot regardless of the
-      // sign of w_i, exactly as in the dense solver.
+      // sign of w_i, which drives residual artificials out in phase 2.
       std::size_t leaving = kNone;
       double best_ratio = kInf;
       bool leaving_is_artificial = false;
@@ -607,28 +618,44 @@ class RevisedState {
   std::vector<double> bscratch_;
 };
 
+SolveResult solve_unconstrained(const LpProblem& problem) {
+  // Degenerate case: minimize over x >= 0 with no constraints.
+  SolveResult result;
+  result.status = SolveStatus::Optimal;
+  for (std::size_t j = 0; j < problem.variable_count(); ++j) {
+    if (problem.objective_coefficient(j) < 0.0) result.status = SolveStatus::Unbounded;
+  }
+  if (result.status == SolveStatus::Optimal) {
+    result.values.assign(problem.variable_count(), 0.0);
+  }
+  return result;
+}
+
 }  // namespace
 
 SolveResult RevisedSimplexSolver::solve(LpProblem& problem) const {
+  SolveResult result;
   if (problem.row_count() == 0) {
-    // Degenerate case: minimize over x >= 0 with no constraints.
-    SolveResult result;
-    result.values.assign(problem.variable_count(), 0.0);
-    bool unbounded = false;
-    for (std::size_t j = 0; j < problem.variable_count(); ++j) {
-      if (problem.objective_coefficient(j) < 0.0) unbounded = true;
-    }
-    result.status = unbounded ? SolveStatus::Unbounded : SolveStatus::Optimal;
-    if (unbounded) result.values.clear();
-    return result;
+    result = solve_unconstrained(problem);
+  } else {
+    QP_TRACE_SPAN("lp.revised.solve");
+    RevisedState state{problem, options_};
+    result = state.run();
+    c_rs_solves.add();
+    c_rs_iterations.add(result.iterations);
+    c_rs_refactorizations.add(state.refactor_count());
+    g_rs_eta_len_max.set_max(static_cast<double>(state.eta_len_max()));
   }
-  QP_TRACE_SPAN("lp.revised.solve");
-  RevisedState state{problem, options_};
-  SolveResult result = state.run();
-  c_rs_solves.add();
-  c_rs_iterations.add(result.iterations);
-  c_rs_refactorizations.add(state.refactor_count());
-  g_rs_eta_len_max.set_max(static_cast<double>(state.eta_len_max()));
+#if QP_PARITY_AUDIT_ENABLED
+  if (result.status == SolveStatus::Optimal) {
+    const OptimalityCertificate certificate =
+        certify_optimality(problem, result.values, result.duals);
+    QP_CHECK(certificate.holds(),
+             "RevisedSimplexSolver: Optimal result fails its duality certificate");
+    QP_PARITY_ASSERT(result.objective, certificate.objective, OptimalityCertificate::kTolerance,
+                     "RevisedSimplexSolver: reported objective != c^T x");
+  }
+#endif
   return result;
 }
 

@@ -1,4 +1,4 @@
-// Robustness tests for the simplex solver: redundant rows (residual
+// Robustness tests for the revised simplex solver: redundant rows (residual
 // zero-level artificials), duals on >= / = rows, scaling behavior, and
 // structured instances shaped like the paper's LPs.
 #include <gtest/gtest.h>
@@ -8,14 +8,11 @@
 
 #include "common/rng.hpp"
 #include "lp/problem.hpp"
-#include "lp/simplex.hpp"
+#include "lp/revised_simplex.hpp"
+#include "lp_certified_solve.hpp"
 
 namespace qp::lp {
 namespace {
-
-Solution solve(LpProblem& problem, SimplexOptions options = {}) {
-  return SimplexSolver{options}.solve(problem);
-}
 
 TEST(SimplexRobustness, DuplicatedEqualityRowsAreHandled) {
   // x + y = 1 stated twice: the second row is redundant; its artificial can
@@ -29,7 +26,7 @@ TEST(SimplexRobustness, DuplicatedEqualityRowsAreHandled) {
     p.add_coefficient(row, x, 1.0);
     p.add_coefficient(row, y, 1.0);
   }
-  const Solution s = solve(p);
+  const SolveResult s = solve_certified(p);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.objective, 1.0, 1e-9);
   EXPECT_NEAR(s.values[x], 1.0, 1e-9);
@@ -46,7 +43,7 @@ TEST(SimplexRobustness, RedundantMixedRows) {
   p.add_coefficient(ge, x, 1.0);
   const std::size_t le = p.add_row(RowSense::LessEqual, 100.0);
   p.add_coefficient(le, x, 1.0);
-  const Solution s = solve(p);
+  const SolveResult s = solve_certified(p);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.values[x], 2.0, 1e-9);
   EXPECT_NEAR(s.objective, 6.0, 1e-9);
@@ -63,7 +60,7 @@ TEST(SimplexRobustness, DualsOnMixedSenses) {
   p.add_coefficient(ge, y, 1.0);
   const std::size_t le = p.add_row(RowSense::LessEqual, 3.0);
   p.add_coefficient(le, x, 1.0);
-  const Solution s = solve(p);
+  const SolveResult s = solve_certified(p);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.objective, 9.0, 1e-9);
   ASSERT_EQ(s.duals.size(), 2u);
@@ -88,8 +85,8 @@ TEST(SimplexRobustness, ScalingInvariance) {
     const std::size_t row = p->add_row(RowSense::Equal, 1.0);
     for (std::size_t j = 0; j < vars; ++j) p->add_coefficient(row, j, 1.0);
   }
-  const Solution sa = solve(a);
-  const Solution sb = solve(b);
+  const SolveResult sa = solve_certified(a);
+  const SolveResult sb = solve_certified(b);
   ASSERT_EQ(sa.status, SolveStatus::Optimal);
   ASSERT_EQ(sb.status, SolveStatus::Optimal);
   EXPECT_NEAR(sb.objective, 1000.0 * sa.objective, 1e-6 * sb.objective);
@@ -104,7 +101,7 @@ TEST(SimplexRobustness, TinyAndHugeCoefficients) {
   const std::size_t x = p.add_variable(1.0);
   const std::size_t row = p.add_row(RowSense::GreaterEqual, 1.0);
   p.add_coefficient(row, x, 1e-6);
-  const Solution s = solve(p);
+  const SolveResult s = solve_certified(p);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.values[x], 1e6, 1.0);
 }
@@ -147,7 +144,7 @@ TEST(SimplexRobustness, AccessStrategyShapedInstanceRandomSweep) {
         }
       }
     }
-    const Solution s = solve(p);
+    const SolveResult s = solve_certified(p);
     ASSERT_EQ(s.status, SolveStatus::Optimal) << "seed=" << seed;
     EXPECT_LE(p.max_violation(s.values), 1e-7);
     // Uniform baseline objective.
@@ -169,8 +166,8 @@ TEST(SimplexRobustness, RepeatedSolveIsDeterministic) {
     const std::size_t row = p.add_row(RowSense::LessEqual, rng.uniform(1.0, 4.0));
     for (int j = 0; j < 12; ++j) p.add_coefficient(row, j, rng.uniform(0.1, 1.0));
   }
-  const Solution a = solve(p);
-  const Solution b = solve(p);
+  const SolveResult a = solve_certified(p);
+  const SolveResult b = solve_certified(p);
   ASSERT_EQ(a.status, b.status);
   EXPECT_DOUBLE_EQ(a.objective, b.objective);
   EXPECT_EQ(a.values, b.values);
@@ -184,7 +181,7 @@ TEST(SimplexRobustness, ZeroRhsEqualityForcesZero) {
   const std::size_t eq = p.add_row(RowSense::Equal, 0.0);
   p.add_coefficient(eq, x, 1.0);
   p.add_coefficient(eq, y, -1.0);
-  const Solution s = solve(p);
+  const SolveResult s = solve_certified(p);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.objective, 0.0, 1e-9);
 }

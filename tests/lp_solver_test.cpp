@@ -1,7 +1,8 @@
-// LP-solver layer tests: the sparse revised simplex (lp/revised_simplex)
-// against the dense tableau parity reference (lp/simplex), warm starts, the
-// transportation specialization of the strategy LP, and basis threading
-// through the iterative alternation. See tests/README.md "LP solver".
+// LP-solver layer tests: the sparse revised simplex (lp/revised_simplex),
+// with every optimum checked by its duality certificate
+// (lp::certify_optimality), warm starts, the transportation specialization
+// of the strategy LP, and basis threading through the iterative
+// alternation. See tests/README.md "LP solver".
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,12 +15,13 @@
 
 #include "common/rng.hpp"
 #include "core/iterative.hpp"
+#include "core/manytoone.hpp"
 #include "core/placement.hpp"
 #include "core/response.hpp"
 #include "core/strategy.hpp"
 #include "lp/problem.hpp"
 #include "lp/revised_simplex.hpp"
-#include "lp/simplex.hpp"
+#include "lp_certified_solve.hpp"
 #include "net/latency_matrix.hpp"
 #include "net/synthetic.hpp"
 #include "quorum/fpp.hpp"
@@ -31,22 +33,15 @@
 namespace qp {
 namespace {
 
+using lp::expect_certified;
 using lp::LpProblem;
+using lp::OptimalityCertificate;
 using lp::RevisedSimplexSolver;
 using lp::RowSense;
 using lp::SimplexOptions;
-using lp::SimplexSolver;
-using lp::Solution;
+using lp::solve_certified;
 using lp::SolveResult;
 using lp::SolveStatus;
-
-SolveResult solve_revised(LpProblem& problem, SimplexOptions options = {}) {
-  return RevisedSimplexSolver{options}.solve(problem);
-}
-
-Solution solve_dense(LpProblem& problem, SimplexOptions options = {}) {
-  return SimplexSolver{options}.solve(problem);
-}
 
 /// |a - b| <= eps * max(1, |b|): the repo-wide parity comparison.
 void expect_parity(double actual, double expected, double eps = 1e-9) {
@@ -64,14 +59,14 @@ TEST(RevisedSimplex, TextbookOptimum) {
   p.add_coefficient(r3, x, 3.0);
   p.add_coefficient(r3, y, 2.0);
 
-  const SolveResult s = solve_revised(p);
+  const SolveResult s = solve_certified(p);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.objective, -36.0, 1e-9);
   EXPECT_NEAR(s.values[x], 2.0, 1e-9);
   EXPECT_NEAR(s.values[y], 6.0, 1e-9);
   EXPECT_NEAR(p.max_violation(s.values), 0.0, 1e-9);
   ASSERT_EQ(s.basis.basic.size(), 3u);
-  // Strong duality, as for the dense solver.
+  // Strong duality.
   const double dual = 4.0 * s.duals[0] + 12.0 * s.duals[1] + 18.0 * s.duals[2];
   EXPECT_NEAR(dual, s.objective, 1e-8);
 }
@@ -87,7 +82,7 @@ TEST(RevisedSimplex, EqualityAndGreaterRows) {
   p.add_coefficient(p.add_row(RowSense::GreaterEqual, 3.0), x, 1.0);
   p.add_coefficient(p.add_row(RowSense::GreaterEqual, 2.0), y, 1.0);
 
-  const SolveResult s = solve_revised(p);
+  const SolveResult s = solve_certified(p);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.objective, 12.0, 1e-9);
   EXPECT_NEAR(s.values[x], 8.0, 1e-9);
@@ -99,7 +94,7 @@ TEST(RevisedSimplex, DetectsInfeasible) {
   const std::size_t x = p.add_variable(1.0);
   p.add_coefficient(p.add_row(RowSense::LessEqual, 1.0), x, 1.0);
   p.add_coefficient(p.add_row(RowSense::GreaterEqual, 2.0), x, 1.0);
-  EXPECT_EQ(solve_revised(p).status, SolveStatus::Infeasible);
+  EXPECT_EQ(solve_certified(p).status, SolveStatus::Infeasible);
 }
 
 TEST(RevisedSimplex, DetectsUnbounded) {
@@ -109,7 +104,7 @@ TEST(RevisedSimplex, DetectsUnbounded) {
   const std::size_t row = p.add_row(RowSense::LessEqual, 5.0);
   p.add_coefficient(row, y, 1.0);
   (void)x;
-  EXPECT_EQ(solve_revised(p).status, SolveStatus::Unbounded);
+  EXPECT_EQ(solve_certified(p).status, SolveStatus::Unbounded);
 }
 
 TEST(RevisedSimplex, NegativeRhsNormalization) {
@@ -117,7 +112,7 @@ TEST(RevisedSimplex, NegativeRhsNormalization) {
   LpProblem p;
   const std::size_t x = p.add_variable(1.0);
   p.add_coefficient(p.add_row(RowSense::LessEqual, -5.0), x, -1.0);
-  const SolveResult s = solve_revised(p);
+  const SolveResult s = solve_certified(p);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.values[x], 5.0, 1e-9);
 }
@@ -125,14 +120,14 @@ TEST(RevisedSimplex, NegativeRhsNormalization) {
 TEST(RevisedSimplex, NoConstraints) {
   LpProblem p;
   (void)p.add_variable(1.0);
-  EXPECT_EQ(solve_revised(p).status, SolveStatus::Optimal);
+  EXPECT_EQ(solve_certified(p).status, SolveStatus::Optimal);
   LpProblem q;
   (void)q.add_variable(-1.0);
-  EXPECT_EQ(solve_revised(q).status, SolveStatus::Unbounded);
+  EXPECT_EQ(solve_certified(q).status, SolveStatus::Unbounded);
 }
 
 TEST(RevisedSimplex, DegenerateProblemTerminates) {
-  // Multiple rows active at the origin (the dense suite's cycling guard).
+  // Multiple rows active at the origin (a cycling guard).
   LpProblem p;
   const std::size_t x = p.add_variable(-1.0);
   const std::size_t y = p.add_variable(-1.0);
@@ -144,7 +139,7 @@ TEST(RevisedSimplex, DegenerateProblemTerminates) {
   const std::size_t cap = p.add_row(RowSense::LessEqual, 10.0);
   p.add_coefficient(cap, x, 1.0);
   p.add_coefficient(cap, y, 1.0);
-  const SolveResult s = solve_revised(p);
+  const SolveResult s = solve_certified(p);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(p.max_violation(s.values), 0.0, 1e-8);
 }
@@ -188,19 +183,17 @@ LpProblem random_mixed_lp(common::Rng& rng, std::size_t vars, std::size_t rows) 
 
 class RandomLpParity : public ::testing::TestWithParam<std::uint64_t> {};
 
+// The name predates the duality certificate, which is what this checks.
 TEST_P(RandomLpParity, RevisedMatchesDense) {
   common::Rng rng{GetParam()};
   const std::size_t vars = 4 + rng.below(8);
   const std::size_t rows = 2 + rng.below(6);
   LpProblem p = random_mixed_lp(rng, vars, rows);
-  LpProblem q = p;
 
-  const Solution dense = solve_dense(p);
-  const SolveResult revised = solve_revised(q);
-  ASSERT_EQ(dense.status, SolveStatus::Optimal);
+  const SolveResult revised = RevisedSimplexSolver{}.solve(p);
   ASSERT_EQ(revised.status, SolveStatus::Optimal);
-  expect_parity(revised.objective, dense.objective);
-  EXPECT_LE(q.max_violation(revised.values), 1e-7);
+  expect_certified(p, revised.values, revised.duals);
+  EXPECT_LE(p.max_violation(revised.values), 1e-7);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomLpParity,
@@ -211,12 +204,12 @@ TEST(RevisedSimplex, WarmRestartOfSameProblemTakesNoPivots) {
   common::Rng rng{42};
   LpProblem p = random_mixed_lp(rng, 10, 6);
   LpProblem q = p;
-  const SolveResult cold = solve_revised(p);
+  const SolveResult cold = solve_certified(p);
   ASSERT_EQ(cold.status, SolveStatus::Optimal);
 
   SimplexOptions warm_options;
   warm_options.initial_basis = cold.basis;
-  const SolveResult warm = solve_revised(q, warm_options);
+  const SolveResult warm = solve_certified(q, warm_options);
   ASSERT_EQ(warm.status, SolveStatus::Optimal);
   expect_parity(warm.objective, cold.objective);
   // Re-solving from the optimal basis is one optimality-confirming pass.
@@ -229,7 +222,7 @@ TEST(RevisedSimplex, WarmStartEqualsColdStartAfterPerturbation) {
     common::Rng rng{seed};
     LpProblem base = random_mixed_lp(rng, 12, 8);
     LpProblem warm_copy = base;
-    const SolveResult cold_base = solve_revised(base);
+    const SolveResult cold_base = solve_certified(base);
     ASSERT_EQ(cold_base.status, SolveStatus::Optimal);
 
     // Same constraint matrix, perturbed objective: rebuild with nudged costs.
@@ -251,8 +244,8 @@ TEST(RevisedSimplex, WarmStartEqualsColdStartAfterPerturbation) {
 
     SimplexOptions warm_options;
     warm_options.initial_basis = cold_base.basis;
-    const SolveResult warm = solve_revised(perturbed, warm_options);
-    const SolveResult cold = solve_revised(perturbed_cold);
+    const SolveResult warm = solve_certified(perturbed, warm_options);
+    const SolveResult cold = solve_certified(perturbed_cold);
     if (cold.status != SolveStatus::Optimal) continue;  // rhs nudge may cut x0.
     ASSERT_EQ(warm.status, SolveStatus::Optimal) << "seed " << seed;
     expect_parity(warm.objective, cold.objective);
@@ -264,27 +257,35 @@ TEST(RevisedSimplex, GarbageBasisFallsBackToColdStart) {
   common::Rng rng{7};
   LpProblem p = random_mixed_lp(rng, 8, 5);
   LpProblem q = p;
-  const SolveResult reference = solve_revised(p);
+  const SolveResult reference = solve_certified(p);
   ASSERT_EQ(reference.status, SolveStatus::Optimal);
 
   SimplexOptions options;
   // Wrong-shaped, duplicated, and out-of-range entries all at once.
   options.initial_basis.basic.assign(q.row_count(), 123456789u);
-  const SolveResult patched = solve_revised(q, options);
+  const SolveResult patched = solve_certified(q, options);
   ASSERT_EQ(patched.status, SolveStatus::Optimal);
   expect_parity(patched.objective, reference.objective);
 }
 
 TEST(RevisedSimplex, IterationLimitReported) {
-  LpProblem p;
-  const std::size_t x = p.add_variable(-1.0);
-  const std::size_t row = p.add_row(RowSense::LessEqual, 1.0);
-  p.add_coefficient(row, x, 1.0);
-  SimplexOptions options;
-  options.max_iterations = 1;
-  const SolveResult s = solve_revised(p, options);
-  EXPECT_TRUE(s.status == SolveStatus::IterationLimit ||
-              s.status == SolveStatus::Optimal);
+  // min -x (- y) s.t. x <= 1 (, y <= 1): one and two improving pivots. A
+  // budget of one iteration stops both after their first pivot.
+  for (std::size_t vars = 1; vars <= 2; ++vars) {
+    LpProblem p;
+    for (std::size_t j = 0; j < vars; ++j) {
+      p.add_coefficient(p.add_row(RowSense::LessEqual, 1.0), p.add_variable(-1.0), 1.0);
+    }
+    LpProblem q = p;
+    SimplexOptions options;
+    options.max_iterations = 1;
+    const SolveResult limited = solve_certified(p, options);
+    EXPECT_EQ(limited.status, SolveStatus::IterationLimit) << vars << " rows";
+    EXPECT_EQ(limited.iterations, 1u) << vars << " rows";
+    const SolveResult full = solve_certified(q);
+    ASSERT_EQ(full.status, SolveStatus::Optimal);
+    EXPECT_NEAR(full.objective, -static_cast<double>(vars), 1e-12);
+  }
 }
 
 TEST(RevisedSimplex, MediumScaleStrategyShapedLp) {
@@ -307,19 +308,17 @@ TEST(RevisedSimplex, MediumScaleStrategyShapedLp) {
     const std::size_t row = p.add_row(RowSense::Equal, 1.0);
     for (std::size_t i = 0; i < options; ++i) p.add_coefficient(row, v * options + i, 1.0);
   }
-  LpProblem q = p;
-  const Solution dense = solve_dense(p);
-  const SolveResult revised = solve_revised(q);
-  ASSERT_EQ(dense.status, SolveStatus::Optimal);
+  const SolveResult revised = RevisedSimplexSolver{}.solve(p);
   ASSERT_EQ(revised.status, SolveStatus::Optimal);
-  expect_parity(revised.objective, dense.objective);
-  EXPECT_LE(q.max_violation(revised.values), 1e-6);
+  expect_certified(p, revised.values, revised.duals);
+  EXPECT_LE(p.max_violation(revised.values), 1e-6);
 }
 
 // ---------------------------------------------------------------------------
 // Strategy level: LP (4.3)-(4.6) through the engine router in
-// optimize_access_strategy — Dense stays the parity reference, Revised and
-// Transportation must agree with it on every quorum family.
+// optimize_access_strategy. Each result is certified against an independent
+// build of the LP: its strategy, read as a point of that LP, must be
+// feasible and close a zero duality gap with the LP's certified duals.
 // ---------------------------------------------------------------------------
 
 using core::Placement;
@@ -349,6 +348,65 @@ std::vector<double> binding_caps(const quorum::QuorumSystem& system,
   return caps;
 }
 
+/// LP (4.3)-(4.6) built here from the paper's definitions, apart from
+/// core/strategy: variable v * m + i is p_v(Q_i) with cost
+/// max_{u in Q_i} d(v, f(u)) / |V|; each support site w has the row
+/// sum_v sum_i p_v(Q_i) |{u in Q_i : f(u) = w}| / |V| <= cap(w); each client
+/// has sum_i p_v(Q_i) = 1.
+LpProblem strategy_lp(const net::LatencyMatrix& matrix,
+                      std::span<const quorum::Quorum> quorums, const Placement& placement,
+                      std::span<const double> caps) {
+  const std::size_t n = matrix.size();
+  const std::size_t m = quorums.size();
+  const double share = 1.0 / static_cast<double>(n);
+  LpProblem p;
+  for (std::size_t v = 0; v < n; ++v) {
+    for (const quorum::Quorum& quorum : quorums) {
+      double delay = 0.0;
+      for (std::size_t u : quorum) delay = std::max(delay, matrix.rtt(v, placement.site_of[u]));
+      (void)p.add_variable(delay * share);
+    }
+  }
+  std::vector<std::size_t> cap_row(n, 0);
+  for (std::size_t w : placement.support_set()) {
+    cap_row[w] = p.add_row(RowSense::LessEqual, caps[w]);
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    const std::size_t row = p.add_row(RowSense::Equal, 1.0);
+    for (std::size_t i = 0; i < m; ++i) {
+      p.add_coefficient(row, v * m + i, 1.0);
+      for (std::size_t u : quorums[i]) {
+        p.add_coefficient(cap_row[placement.site_of[u]], v * m + i, share);
+      }
+    }
+  }
+  return p;
+}
+
+/// Solves a copy of `problem` and expects a certified optimum.
+SolveResult certified_optimum(LpProblem problem) {
+  SolveResult s = solve_certified(problem);
+  EXPECT_EQ(s.status, SolveStatus::Optimal);
+  return s;
+}
+
+/// Certifies an optimize_access_strategy result: its per-client strategy is
+/// feasible in strategy_lp and, with that LP's certified duals, has a zero
+/// duality gap; its reported delay is the certified objective.
+void expect_certified_strategy(const net::LatencyMatrix& matrix, const Placement& placement,
+                               std::span<const double> caps,
+                               const StrategyLpResult& result) {
+  ASSERT_EQ(result.status, SolveStatus::Optimal);
+  const LpProblem p = strategy_lp(matrix, result.strategy.quorums, placement, caps);
+  const SolveResult optimum = certified_optimum(p);
+  std::vector<double> x;
+  for (const std::vector<double>& row : result.strategy.probability) {
+    x.insert(x.end(), row.begin(), row.end());
+  }
+  expect_certified(p, x, optimum.duals);
+  expect_parity(result.avg_network_delay, optimum.objective);
+}
+
 StrategyLpResult solve_strategy(const net::LatencyMatrix& matrix,
                                 const quorum::QuorumSystem& system,
                                 const Placement& placement,
@@ -370,6 +428,7 @@ class StrategyLpParity : public ::testing::TestWithParam<const char*> {
   }
 };
 
+// The name predates the certificate (see RandomLpParity).
 TEST_P(StrategyLpParity, RevisedMatchesDenseWithAndWithoutCapacityRows) {
   const auto system = make_system(GetParam());
   const net::LatencyMatrix matrix = net::small_synth(20, 901);
@@ -378,17 +437,19 @@ TEST_P(StrategyLpParity, RevisedMatchesDenseWithAndWithoutCapacityRows) {
   const std::vector<double> loose(matrix.size(), 1e9);
   const std::vector<double> tight = binding_caps(*system, placement, matrix.size());
   for (const std::vector<double>* caps : {&loose, &tight}) {
-    const StrategyLpResult dense =
-        solve_strategy(matrix, *system, placement, *caps, StrategyLpSolver::Dense);
     const StrategyLpResult revised =
         solve_strategy(matrix, *system, placement, *caps, StrategyLpSolver::Revised);
-    ASSERT_EQ(dense.status, SolveStatus::Optimal);
-    ASSERT_EQ(revised.status, SolveStatus::Optimal);
-    EXPECT_EQ(dense.solver_used, StrategyLpSolver::Dense);
     EXPECT_EQ(revised.solver_used, StrategyLpSolver::Revised);
-    expect_parity(revised.avg_network_delay, dense.avg_network_delay);
+    expect_certified_strategy(matrix, placement, *caps, revised);
     revised.strategy.validate(matrix.size(), system->universe_size());
     EXPECT_FALSE(revised.basis.empty());
+    // Uncapacitated, the min-cost-flow engine solves the same LP apart from
+    // the simplex; with binding caps it hands over to Revised.
+    const StrategyLpResult flow =
+        solve_strategy(matrix, *system, placement, *caps, StrategyLpSolver::Transportation);
+    EXPECT_EQ(flow.solver_used, caps == &loose ? StrategyLpSolver::Transportation
+                                               : StrategyLpSolver::Revised);
+    expect_certified_strategy(matrix, placement, *caps, flow);
   }
 }
 
@@ -410,12 +471,11 @@ TEST(StrategyLp, TransportationMatchesGeneralEnginesUncapacitated) {
   EXPECT_EQ(automatic.solver_used, StrategyLpSolver::Transportation);
   EXPECT_EQ(automatic.lp_iterations, 0u);
 
-  const StrategyLpResult dense =
-      solve_strategy(matrix, grid, placement, loose, StrategyLpSolver::Dense);
   const StrategyLpResult revised =
       solve_strategy(matrix, grid, placement, loose, StrategyLpSolver::Revised);
-  expect_parity(automatic.avg_network_delay, dense.avg_network_delay);
-  expect_parity(revised.avg_network_delay, dense.avg_network_delay);
+  expect_certified_strategy(matrix, placement, loose, automatic);
+  expect_certified_strategy(matrix, placement, loose, revised);
+  expect_parity(automatic.avg_network_delay, revised.avg_network_delay);
   automatic.strategy.validate(matrix.size(), grid.universe_size());
 }
 
@@ -481,31 +541,42 @@ TEST(StrategyLp, IterativeWarmStartMatchesColdRun) {
   }
 }
 
+// The name predates the certificate (see RandomLpParity).
 TEST(StrategyLp, IterativeDenseAndRevisedEnginesAgree) {
-  // The alternation end-to-end on each general engine: iteration 1 starts
-  // from the uniform strategy either way, so its phase-2 LP is identical
-  // and the engines must agree on its value; the full runs must land on
-  // the same final response up to alternate-optimum noise.
+  // The alternation end-to-end on the Revised engine. Iteration 1 starts
+  // from the uniform strategy, so its placement and its phase-2 LP can be
+  // rebuilt here: the phase-2 value it reports must be the certified
+  // optimum of that LP.
   const net::LatencyMatrix matrix = net::small_synth(16, 29);
   const quorum::GridQuorum grid{2};
   const std::vector<double> caps(matrix.size(), 0.8);
 
-  core::IterativeOptions dense_options;
-  dense_options.anchor_candidates = {0, 1, 2, 3};
-  dense_options.warm_start = false;
-  dense_options.strategy.solver = StrategyLpSolver::Dense;
-  core::IterativeOptions revised_options = dense_options;
-  revised_options.strategy.solver = StrategyLpSolver::Revised;
-
-  const core::IterativeResult dense =
-      core::iterative_placement(matrix, grid, caps, /*alpha=*/5.0, dense_options);
+  core::IterativeOptions options;
+  options.anchor_candidates = {0, 1, 2, 3};
+  options.warm_start = false;
+  options.strategy.solver = StrategyLpSolver::Revised;
   const core::IterativeResult revised =
-      core::iterative_placement(matrix, grid, caps, /*alpha=*/5.0, revised_options);
-  ASSERT_FALSE(dense.history.empty());
+      core::iterative_placement(matrix, grid, caps, /*alpha=*/5.0, options);
   ASSERT_FALSE(revised.history.empty());
-  expect_parity(revised.history[0].network_after_strategy,
-                dense.history[0].network_after_strategy);
-  expect_parity(revised.avg_response, dense.avg_response, 1e-6);
+
+  // Phase 1 of iteration 1: many-to-one placement under the uniform
+  // strategy; phase 2 pins each site's cap to the load that strategy puts
+  // on it, with the same slack iterative_placement adds.
+  core::ExplicitStrategy uniform;
+  uniform.quorums = grid.enumerate_quorums(options.strategy.quorum_limit);
+  const std::vector<double> p0(uniform.quorums.size(),
+                               1.0 / static_cast<double>(uniform.quorums.size()));
+  uniform.probability.assign(matrix.size(), p0);
+  const core::ManyToOneSearchResult search = core::best_many_to_one_placement(
+      matrix, grid, p0, caps, options.anchor_candidates, options.placement);
+  ASSERT_EQ(search.best.status, SolveStatus::Optimal);
+  std::vector<double> load_caps =
+      core::site_loads_explicit(uniform, search.best.placement, matrix.size());
+  for (double& cap : load_caps) cap = cap * (1.0 + 1e-9) + 1e-12;
+
+  const SolveResult optimum = certified_optimum(
+      strategy_lp(matrix, uniform.quorums, search.best.placement, load_caps));
+  expect_parity(revised.history[0].network_after_strategy, optimum.objective);
 }
 
 }  // namespace

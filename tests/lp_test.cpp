@@ -5,14 +5,11 @@
 
 #include "common/rng.hpp"
 #include "lp/problem.hpp"
-#include "lp/simplex.hpp"
+#include "lp/revised_simplex.hpp"
+#include "lp_certified_solve.hpp"
 
 namespace qp::lp {
 namespace {
-
-Solution solve(LpProblem& problem, SimplexOptions options = {}) {
-  return SimplexSolver{options}.solve(problem);
-}
 
 TEST(LpProblem, BuilderBasics) {
   LpProblem p;
@@ -63,7 +60,7 @@ TEST(Simplex, TextbookOptimum) {
   p.add_coefficient(r3, x, 3.0);
   p.add_coefficient(r3, y, 2.0);
 
-  const Solution s = solve(p);
+  const SolveResult s = solve_certified(p);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.objective, -36.0, 1e-9);
   EXPECT_NEAR(s.values[x], 2.0, 1e-9);
@@ -82,7 +79,7 @@ TEST(Simplex, EqualityAndGreaterRows) {
   p.add_coefficient(p.add_row(RowSense::GreaterEqual, 3.0), x, 1.0);
   p.add_coefficient(p.add_row(RowSense::GreaterEqual, 2.0), y, 1.0);
 
-  const Solution s = solve(p);
+  const SolveResult s = solve_certified(p);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.objective, 12.0, 1e-9);
   EXPECT_NEAR(s.values[x], 8.0, 1e-9);
@@ -95,7 +92,7 @@ TEST(Simplex, DetectsInfeasible) {
   const std::size_t x = p.add_variable(1.0);
   p.add_coefficient(p.add_row(RowSense::LessEqual, 1.0), x, 1.0);
   p.add_coefficient(p.add_row(RowSense::GreaterEqual, 2.0), x, 1.0);
-  EXPECT_EQ(solve(p).status, SolveStatus::Infeasible);
+  EXPECT_EQ(solve_certified(p).status, SolveStatus::Infeasible);
 }
 
 TEST(Simplex, DetectsUnbounded) {
@@ -106,7 +103,7 @@ TEST(Simplex, DetectsUnbounded) {
   const std::size_t row = p.add_row(RowSense::LessEqual, 5.0);
   p.add_coefficient(row, y, 1.0);
   (void)x;
-  EXPECT_EQ(solve(p).status, SolveStatus::Unbounded);
+  EXPECT_EQ(solve_certified(p).status, SolveStatus::Unbounded);
 }
 
 TEST(Simplex, NegativeRhsNormalization) {
@@ -114,7 +111,7 @@ TEST(Simplex, NegativeRhsNormalization) {
   LpProblem p;
   const std::size_t x = p.add_variable(1.0);
   p.add_coefficient(p.add_row(RowSense::LessEqual, -5.0), x, -1.0);
-  const Solution s = solve(p);
+  const SolveResult s = solve_certified(p);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(s.values[x], 5.0, 1e-9);
 }
@@ -122,10 +119,10 @@ TEST(Simplex, NegativeRhsNormalization) {
 TEST(Simplex, NoConstraints) {
   LpProblem p;
   (void)p.add_variable(1.0);
-  EXPECT_EQ(solve(p).status, SolveStatus::Optimal);
+  EXPECT_EQ(solve_certified(p).status, SolveStatus::Optimal);
   LpProblem q;
   (void)q.add_variable(-1.0);
-  EXPECT_EQ(solve(q).status, SolveStatus::Unbounded);
+  EXPECT_EQ(solve_certified(q).status, SolveStatus::Unbounded);
 }
 
 TEST(Simplex, DegenerateProblemTerminates) {
@@ -141,7 +138,7 @@ TEST(Simplex, DegenerateProblemTerminates) {
   const std::size_t cap = p.add_row(RowSense::LessEqual, 10.0);
   p.add_coefficient(cap, x, 1.0);
   p.add_coefficient(cap, y, 1.0);
-  const Solution s = solve(p);
+  const SolveResult s = solve_certified(p);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_NEAR(p.max_violation(s.values), 0.0, 1e-8);
 }
@@ -165,7 +162,7 @@ TEST(Simplex, TransportationProblem) {
     const std::size_t row = p.add_row(RowSense::Equal, demand[d]);
     for (int s = 0; s < 2; ++s) p.add_coefficient(row, var[s][d], 1.0);
   }
-  const Solution s = solve(p);
+  const SolveResult s = solve_certified(p);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   // Supplier 0 serves consumer 0 fully (8) and 2 units elsewhere; cheapest:
   // x00=8, x01=2 (cost 8+8=16) vs routing through supplier 1... the LP
@@ -187,7 +184,7 @@ TEST(Simplex, DualValuesSatisfyStrongDuality) {
   const std::size_t r3 = p.add_row(RowSense::LessEqual, 18.0);
   p.add_coefficient(r3, x, 3.0);
   p.add_coefficient(r3, y, 2.0);
-  const Solution s = solve(p);
+  const SolveResult s = solve_certified(p);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   ASSERT_EQ(s.duals.size(), 3u);
   const double dual_objective = 4.0 * s.duals[0] + 12.0 * s.duals[1] + 18.0 * s.duals[2];
@@ -221,7 +218,7 @@ TEST_P(RandomLpSweep, FeasibleAndBeatsRandomSampling) {
     }
   }
 
-  const Solution s = solve(p);
+  const SolveResult s = solve_certified(p);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_LE(p.max_violation(s.values), 1e-7);
 
@@ -267,7 +264,7 @@ TEST(Simplex, MediumScaleStressIsFeasible) {
     const std::size_t row = p.add_row(RowSense::Equal, 1.0);
     for (std::size_t i = 0; i < options; ++i) p.add_coefficient(row, v * options + i, 1.0);
   }
-  const Solution s = solve(p);
+  const SolveResult s = solve_certified(p);
   ASSERT_EQ(s.status, SolveStatus::Optimal);
   EXPECT_LE(p.max_violation(s.values), 1e-6);
   EXPECT_GT(s.objective, 0.0);
@@ -279,9 +276,10 @@ TEST(Simplex, IterationLimitReported) {
   const std::size_t row = p.add_row(RowSense::LessEqual, 1.0);
   p.add_coefficient(row, x, 1.0);
   SimplexOptions options;
-  options.max_iterations = 1;  // Absurdly small.
-  const Solution s = solve(p, options);
-  EXPECT_TRUE(s.status == SolveStatus::IterationLimit || s.status == SolveStatus::Optimal);
+  options.max_iterations = 1;  // One pivot, then no budget left to confirm.
+  const SolveResult s = solve_certified(p, options);
+  EXPECT_EQ(s.status, SolveStatus::IterationLimit);
+  EXPECT_EQ(s.iterations, 1u);
 }
 
 TEST(Simplex, StatusToString) {
@@ -289,6 +287,109 @@ TEST(Simplex, StatusToString) {
   EXPECT_EQ(to_string(SolveStatus::Infeasible), "infeasible");
   EXPECT_EQ(to_string(SolveStatus::Unbounded), "unbounded");
   EXPECT_EQ(to_string(SolveStatus::IterationLimit), "iteration-limit");
+}
+
+// ---------------------------------------------------------------------------
+// The duality certificate on hand-made points: it accepts the textbook
+// optimum and rejects each way a claimed optimum can be wrong.
+// ---------------------------------------------------------------------------
+
+/// max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 (as a minimization):
+/// optimum (2, 6) with duals (0, -1.5, -1), objective -36.
+LpProblem textbook_lp() {
+  LpProblem p;
+  const std::size_t x = p.add_variable(-3.0);
+  const std::size_t y = p.add_variable(-5.0);
+  p.add_coefficient(p.add_row(RowSense::LessEqual, 4.0), x, 1.0);
+  p.add_coefficient(p.add_row(RowSense::LessEqual, 12.0), y, 2.0);
+  const std::size_t r3 = p.add_row(RowSense::LessEqual, 18.0);
+  p.add_coefficient(r3, x, 3.0);
+  p.add_coefficient(r3, y, 2.0);
+  return p;
+}
+
+TEST(Certificate, AcceptsTheTextbookOptimum) {
+  const OptimalityCertificate c =
+      certify_optimality(textbook_lp(), {2.0, 6.0}, {0.0, -1.5, -1.0});
+  EXPECT_TRUE(c.holds());
+  EXPECT_DOUBLE_EQ(c.objective, -36.0);
+  EXPECT_DOUBLE_EQ(c.duality_gap, 0.0);
+}
+
+TEST(Certificate, RejectsAnInfeasiblePoint) {
+  // 3x + 2y = 21 > 18.
+  const OptimalityCertificate c =
+      certify_optimality(textbook_lp(), {3.0, 6.0}, {0.0, -1.5, -1.0});
+  EXPECT_DOUBLE_EQ(c.primal_violation, 3.0);
+  EXPECT_FALSE(c.holds());
+}
+
+TEST(Certificate, RejectsAFeasibleSuboptimalVertexWithItsDuals) {
+  // The vertex (0, 6) with the duals of its own basis {y, s1, s3}: feasible,
+  // zero gap (-30 both ways), right signs, but x has reduced cost -3.
+  const OptimalityCertificate c =
+      certify_optimality(textbook_lp(), {0.0, 6.0}, {0.0, -2.5, 0.0});
+  EXPECT_DOUBLE_EQ(c.primal_violation, 0.0);
+  EXPECT_DOUBLE_EQ(c.duality_gap, 0.0);
+  EXPECT_DOUBLE_EQ(c.reduced_cost_violation, 3.0);
+  EXPECT_FALSE(c.holds());
+}
+
+TEST(Certificate, RejectsANonzeroGap) {
+  // The same feasible vertex (0, 6) against the optimal duals: every check
+  // but the gap passes (c^T x = -30, b^T y = -36).
+  const OptimalityCertificate c =
+      certify_optimality(textbook_lp(), {0.0, 6.0}, {0.0, -1.5, -1.0});
+  EXPECT_DOUBLE_EQ(c.primal_violation, 0.0);
+  EXPECT_DOUBLE_EQ(c.dual_sign_violation, 0.0);
+  EXPECT_DOUBLE_EQ(c.reduced_cost_violation, 0.0);
+  EXPECT_DOUBLE_EQ(c.duality_gap, 6.0);
+  EXPECT_FALSE(c.holds());
+}
+
+/// min -x + y s.t. x <= 1 twice, y >= 1 twice: optimum (1, 1), objective 0.
+/// The duplicated rows let a wrong-sign dual hide behind a compensating
+/// partner, so that only the sign check can catch it.
+LpProblem duplicated_rows_lp() {
+  LpProblem p;
+  const std::size_t x = p.add_variable(-1.0);
+  const std::size_t y = p.add_variable(1.0);
+  for (int copy = 0; copy < 2; ++copy) {
+    p.add_coefficient(p.add_row(RowSense::LessEqual, 1.0), x, 1.0);
+  }
+  for (int copy = 0; copy < 2; ++copy) {
+    p.add_coefficient(p.add_row(RowSense::GreaterEqual, 1.0), y, 1.0);
+  }
+  return p;
+}
+
+TEST(Certificate, RejectsAWrongSignDualOnALessEqualRow) {
+  const LpProblem p = duplicated_rows_lp();
+  EXPECT_TRUE(certify_optimality(p, {1.0, 1.0}, {-0.5, -0.5, 0.5, 0.5}).holds());
+  // y_0 = +1 on a <= row; y_1 = -2 keeps the reduced costs and the gap at 0.
+  const OptimalityCertificate c = certify_optimality(p, {1.0, 1.0}, {1.0, -2.0, 0.5, 0.5});
+  EXPECT_DOUBLE_EQ(c.reduced_cost_violation, 0.0);
+  EXPECT_DOUBLE_EQ(c.duality_gap, 0.0);
+  EXPECT_DOUBLE_EQ(c.dual_sign_violation, 1.0);
+  EXPECT_FALSE(c.holds());
+}
+
+TEST(Certificate, RejectsAWrongSignDualOnAGreaterEqualRow) {
+  // y_2 = -1 on a >= row; y_3 = 2 keeps the reduced costs and the gap at 0.
+  const OptimalityCertificate c =
+      certify_optimality(duplicated_rows_lp(), {1.0, 1.0}, {-0.5, -0.5, -1.0, 2.0});
+  EXPECT_DOUBLE_EQ(c.reduced_cost_violation, 0.0);
+  EXPECT_DOUBLE_EQ(c.duality_gap, 0.0);
+  EXPECT_DOUBLE_EQ(c.dual_sign_violation, 1.0);
+  EXPECT_FALSE(c.holds());
+}
+
+TEST(Certificate, RejectsNonFiniteInputsAndSizeMismatches) {
+  const LpProblem p = textbook_lp();
+  EXPECT_FALSE(certify_optimality(p, {2.0, std::nan("")}, {0.0, -1.5, -1.0}).holds());
+  EXPECT_FALSE(certify_optimality(p, {2.0, 6.0}, {0.0, -1.5, std::nan("")}).holds());
+  EXPECT_THROW((void)certify_optimality(p, {2.0, 6.0}, {0.0, -1.5}), std::invalid_argument);
+  EXPECT_THROW((void)certify_optimality(p, {2.0}, {0.0, -1.5, -1.0}), std::invalid_argument);
 }
 
 }  // namespace
