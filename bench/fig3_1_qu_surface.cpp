@@ -12,7 +12,7 @@
 #include "net/synthetic.hpp"
 #include "quorum/majority.hpp"
 #include "sim/client_sites.hpp"
-#include "sim/protocol_sim.hpp"
+#include "sim/engine.hpp"
 
 namespace {
 
@@ -21,23 +21,25 @@ const qp::net::LatencyMatrix& topology() {
   return m;
 }
 
-// Timing kernel: one simulated second of the t=2 system with 50 clients.
-void BM_ProtocolSimulation(benchmark::State& state) {
+// Timing kernel: one simulated second of the t=2 system with 50 closed-loop
+// clients.
+void BM_ClosedLoopSimulation(benchmark::State& state) {
   const auto& m = topology();
   const qp::quorum::MajorityQuorum system =
       qp::quorum::make_majority(qp::quorum::MajorityFamily::QuThreshold, 2);
   const auto placement = qp::core::best_majority_placement(m, system).placement;
-  const auto clients = qp::sim::representative_client_sites(m, system, placement, 10);
-  qp::sim::ProtocolSimConfig config;
-  config.clients_per_site = 5;
+  const auto clients = qp::sim::clients_at_sites(
+      m.size(), qp::sim::representative_client_sites(m, system, placement, 10), 5);
+  qp::sim::EngineConfig config;
   config.duration_ms = 1000.0;
   config.warmup_ms = 100.0;
+  config.replications = 1;
   for (auto _ : state) {
-    auto result = qp::sim::run_protocol_sim(m, system, placement, clients, config);
+    auto result = qp::sim::run_engine_closed_loop(m, system, placement, clients, config);
     benchmark::DoNotOptimize(result);
   }
 }
-BENCHMARK(BM_ProtocolSimulation)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ClosedLoopSimulation)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,4 +1,4 @@
-// Failure drill: inject server outages into the protocol simulation and
+// Failure drill: inject server outages into the closed-loop simulation and
 // watch the quorum system route around them — the fault-tolerance argument
 // for quorums over the singleton (§6's closing point), made concrete.
 //
@@ -12,17 +12,17 @@
 #include "quorum/majority.hpp"
 #include "quorum/singleton.hpp"
 #include "sim/client_sites.hpp"
-#include "sim/protocol_sim.hpp"
+#include "sim/engine.hpp"
 
 namespace {
 
-void report(const char* label, const qp::sim::ProtocolSimResult& result) {
+void report(const char* label, const qp::sim::EngineResult& result) {
   std::cout << "  " << std::left << std::setw(26) << label << std::right
-            << " completed " << std::setw(6) << result.completed_requests
-            << "  failed " << std::setw(4) << result.failed_requests
-            << "  retries " << std::setw(5) << result.total_retries
+            << " completed " << std::setw(6) << result.completed
+            << "  failed " << std::setw(4) << result.failed + result.abandoned
+            << "  retries " << std::setw(5) << result.retries
             << "  avg response " << std::fixed << std::setprecision(1)
-            << result.avg_response_ms << " ms\n";
+            << result.mean_response_ms << " ms\n";
 }
 
 }  // namespace
@@ -35,20 +35,27 @@ int main(int argc, char** argv) {
   const quorum::MajorityQuorum system =
       quorum::make_majority(quorum::MajorityFamily::SimpleMajority, t);
   const auto placed = core::best_majority_placement(matrix, system);
-  const auto clients = sim::representative_client_sites(matrix, system, placed.placement, 10);
+  const auto clients = sim::clients_at_sites(
+      matrix.size(), sim::representative_client_sites(matrix, system, placed.placement, 10),
+      2);
 
   std::cout << "Drill: " << system.name() << " (tolerates t = " << t
             << " failures) on " << matrix.size() << " sites\n\n";
 
-  sim::ProtocolSimConfig config;
+  // Closed-loop clients that give up on an attempt after 500 ms and retry at
+  // once on a freshly drawn quorum, at most 10 attempts per request.
+  sim::EngineConfig config;
   config.duration_ms = 8000.0;
   config.warmup_ms = 1000.0;
-  config.clients_per_site = 2;
-  config.request_timeout_ms = 500.0;
-  config.seed = 7;
+  config.master_seed = 7;
+  config.replications = 1;
+  config.retry.timeout_ms = 500.0;
+  config.retry.backoff_base_ms = 0.0;
+  config.retry.max_attempts = 10;
 
   // Healthy baseline.
-  report("healthy", sim::run_protocol_sim(matrix, system, placed.placement, clients, config));
+  report("healthy",
+         sim::run_engine_closed_loop(matrix, system, placed.placement, clients, config));
 
   // Kill exactly t servers mid-run: the system must keep serving.
   config.outages.clear();
@@ -56,26 +63,26 @@ int main(int argc, char** argv) {
     config.outages.push_back({placed.placement.site_of[i], 2000.0, 6000.0});
   }
   report("t servers down (4 s)",
-         sim::run_protocol_sim(matrix, system, placed.placement, clients, config));
+         sim::run_engine_closed_loop(matrix, system, placed.placement, clients, config));
 
-  // Kill t+1 servers: quorums of size t+1 out of 2t+1 can still form from
-  // the t surviving servers... no — only t survive forming no quorum, so
-  // requests issued in the outage stall until recovery.
+  // Kill t+1 servers: only t of the 2t+1 survive, fewer than the quorum size
+  // t+1, so no quorum can form and requests issued in the outage stall
+  // until recovery.
   config.outages.clear();
   for (std::size_t i = 0; i < t + 1; ++i) {
     config.outages.push_back({placed.placement.site_of[i], 2000.0, 6000.0});
   }
   report("t+1 servers down (4 s)",
-         sim::run_protocol_sim(matrix, system, placed.placement, clients, config));
+         sim::run_engine_closed_loop(matrix, system, placed.placement, clients, config));
 
   // The singleton under the same drill: one outage removes the service.
   const quorum::SingletonQuorum singleton;
   const core::Placement median = core::singleton_placement(matrix);
-  const auto single_clients =
-      sim::representative_client_sites(matrix, singleton, median, 10);
+  const auto single_clients = sim::clients_at_sites(
+      matrix.size(), sim::representative_client_sites(matrix, singleton, median, 10), 2);
   config.outages = {{median.site_of[0], 2000.0, 6000.0}};
   report("singleton, its node down",
-         sim::run_protocol_sim(matrix, singleton, median, single_clients, config));
+         sim::run_engine_closed_loop(matrix, singleton, median, single_clients, config));
 
   std::cout << "\nReading: with <= t failures the majority quorum system keeps its\n"
                "throughput (retries route around dead servers); the singleton loses\n"

@@ -59,12 +59,18 @@ struct QuSweepConfig {
   double duration_ms = 20'000.0;
   double warmup_ms = 3'000.0;
   std::uint64_t seed = 42;
-  /// Forwarded to ProtocolSimConfig::per_message_cpu_ms (see its comment).
+  /// Extra CPU time a server spends per message (unmarshal, verify,
+  /// marshal reply), added to §3's 1 ms service time. 0 reproduces the
+  /// paper's stated model; the fig3 benches set a small positive value to
+  /// emulate the real Q/U implementation's message-handling cost, which its
+  /// testbed paid implicitly and which drives its steeper growth under load.
   double per_message_cpu_ms = 0.0;
 };
 
 /// Figures 3.1 / 3.2: simulated Q/U response-time surface over
-/// (t, client count) with uniform-random quorum selection.
+/// (t, client count) with uniform-random quorum selection, driven by
+/// closed-loop clients on the queueing engine (sim::run_engine_closed_loop,
+/// one replication per point).
 [[nodiscard]] std::vector<QuPoint> qu_response_surface(const net::LatencyMatrix& matrix,
                                                        const QuSweepConfig& config = {});
 

@@ -32,4 +32,12 @@ std::vector<std::size_t> representative_client_sites(const net::LatencyMatrix& m
   return order;
 }
 
+std::vector<std::size_t> clients_at_sites(std::size_t site_count,
+                                          std::span<const std::size_t> sites,
+                                          std::size_t per_site) {
+  std::vector<std::size_t> counts(site_count, 0);
+  for (std::size_t site : sites) counts.at(site) += per_site;
+  return counts;
+}
+
 }  // namespace qp::sim

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/placement.hpp"
@@ -20,5 +21,12 @@ namespace qp::sim {
 [[nodiscard]] std::vector<std::size_t> representative_client_sites(
     const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
     const core::Placement& placement, std::size_t count);
+
+/// The per-site client counts run_engine_closed_loop takes: `per_site`
+/// clients at each of `sites`, none elsewhere. Throws std::out_of_range on a
+/// site >= site_count.
+[[nodiscard]] std::vector<std::size_t> clients_at_sites(std::size_t site_count,
+                                                        std::span<const std::size_t> sites,
+                                                        std::size_t per_site);
 
 }  // namespace qp::sim

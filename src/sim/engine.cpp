@@ -57,13 +57,21 @@ struct EngineEvent {
   double half_rtt = 0.0;
 };
 
+/// The client population of one run, one entry per site: open-loop arrival
+/// rates, or closed-loop client counts when `closed_loop`.
+struct ClientLoad {
+  std::span<const double> rates = {};
+  std::span<const std::size_t> counts = {};
+  bool closed_loop = false;
+};
+
 /// One replication: owns the event queue, rng stream, stations, and request
 /// table. Replications never share mutable state, so the fan-out is safe
 /// and the serial-order reduction makes it bit-identical to a serial run.
 class Replication {
  public:
   Replication(const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
-              const core::Placement& placement, std::span<const double> rates,
+              const core::Placement& placement, const ClientLoad& load,
               const EngineConfig& config, const QuorumSampler& sampler,
               std::uint64_t seed)
       : matrix_(matrix),
@@ -77,18 +85,28 @@ class Replication {
                   ServiceStation{config.warmup_ms, config.warmup_ms + config.duration_ms,
                                  config.queue_capacity}),
         outages_(config.outages, matrix.size()),
-        suspicion_(matrix.size(), config.suspicion_ttl_ms) {
-    for (std::size_t v = 0; v < rates.size(); ++v) {
-      if (rates[v] <= 0.0) continue;
+        suspicion_(matrix.size(), config.suspicion_ttl_ms),
+        closed_loop_(load.closed_loop) {
+    if (closed_loop_) {
+      for (std::size_t v = 0; v < load.counts.size(); ++v) {
+        clients_.insert(clients_.end(), load.counts[v], v);
+      }
+      return;
+    }
+    for (std::size_t v = 0; v < load.rates.size(); ++v) {
+      if (load.rates[v] <= 0.0) continue;
       clients_.push_back(v);
-      generators_.emplace_back(config.arrival_model, rates[v], config.mmpp, rng_);
+      generators_.emplace_back(config.arrival_model, load.rates[v], config.mmpp, rng_);
     }
   }
 
   ReplicationResult run() {
     QP_TRACE_SPAN("sim.engine.replication");
     for (std::size_t slot = 0; slot < clients_.size(); ++slot) {
-      const double first = generators_[slot].next(0.0, rng_);
+      // Closed-loop starts are staggered over the first millisecond so
+      // synchronized clients do not form artificial convoys.
+      const double first =
+          closed_loop_ ? rng_.uniform() : generators_[slot].next(0.0, rng_);
       if (first < end_of_issue_) {
         queue_.schedule(first, EngineEvent{.id = slot});
       }
@@ -154,7 +172,8 @@ class Replication {
  private:
   struct Request {
     double start = 0.0;
-    std::size_t client = 0;
+    std::size_t slot = 0;    // Issuing client's index into clients_.
+    std::size_t client = 0;  // Its site.
     std::size_t pending = 0;
     std::uint32_t attempt = 0;       // Tag discarding stale replies/timeouts.
     std::size_t attempts_used = 0;
@@ -232,23 +251,26 @@ class Replication {
                : rng_.exponential(config_.service_time_ms);
   }
 
-  /// An arrival event for client slot: issue one request, then schedule the
-  /// client's next arrival.
+  /// An arrival event for client slot: issue one request, then (open loop)
+  /// schedule the client's next arrival. A closed-loop client's next request
+  /// follows the resolution of this one (see retire).
   void arrival(std::size_t slot) {
     const double now = queue_.now();
-    issue(clients_[slot], now);
+    issue(slot, now);
+    if (closed_loop_) return;
     const double next = generators_[slot].next(now, rng_);
     if (next < end_of_issue_) {
       queue_.schedule(next, EngineEvent{.id = slot});
     }
   }
 
-  void issue(std::size_t client, double now) {
+  void issue(std::size_t slot, double now) {
     const std::uint64_t id = next_request_++;
     const auto it = requests_.emplace(id, Request{}).first;
     Request& request = it->second;
     request.start = now;
-    request.client = client;
+    request.slot = slot;
+    request.client = clients_[slot];
     request.windowed = now >= config_.warmup_ms && now < end_of_issue_;
     if (request.windowed) ++issued_;
     start_attempt(id, request, now);
@@ -367,13 +389,21 @@ class Replication {
         if (request.attempts_used > 1) retried_response_.add(response);
       }
     }
+    retire(it);
+  }
+
+  /// Removes a resolved request; its closed-loop client issues the next one
+  /// at once unless the issue window has closed.
+  void retire(std::unordered_map<std::uint64_t, Request>::iterator it) {
+    const std::size_t slot = it->second.slot;
     requests_.erase(it);
+    const double now = queue_.now();
+    if (closed_loop_ && now < end_of_issue_) issue(slot, now);
   }
 
   /// The attempt's timeout expired. Stale when the attempt completed (the
   /// request was erased) or already moved on (tag mismatch) — then it is a
-  /// no-op and in particular must not count toward retries (the engine twin
-  /// of protocol_sim's attempt-tag discard path).
+  /// no-op and in particular must not count toward retries.
   void timeout(std::uint64_t id, std::uint32_t attempt) {
     const auto it = requests_.find(id);
     if (it == requests_.end() || it->second.attempt != attempt) return;
@@ -389,7 +419,7 @@ class Replication {
         ++abandoned_;
         unserved_wait_.push_back(now - request.start);
       }
-      requests_.erase(it);
+      retire(it);
       return;
     }
     const double delay = config_.retry.backoff_delay(request.attempts_used, rng_);
@@ -430,8 +460,9 @@ class Replication {
   std::vector<ServiceStation> stations_;
   OutageSchedule outages_;
   SuspicionList suspicion_;
-  std::vector<std::size_t> clients_;            // Sites with a positive rate.
-  std::vector<ArrivalGenerator> generators_;    // Parallel to clients_.
+  const bool closed_loop_;
+  std::vector<std::size_t> clients_;            // Client sites, one per slot.
+  std::vector<ArrivalGenerator> generators_;    // Open loop: parallel to clients_.
   // Keyed lookups only (find/emplace/erase) — never iterated, so the
   // implementation-defined order can't reach results (qp-lint QPL001).
   std::unordered_map<std::uint64_t, Request> requests_;
@@ -485,22 +516,41 @@ std::uint64_t replication_seed(std::uint64_t master_seed,
   return seed;
 }
 
-EngineResult run_engine(const net::LatencyMatrix& matrix,
-                        const quorum::QuorumSystem& system,
-                        const core::Placement& placement,
-                        std::span<const double> arrival_rates_per_ms,
-                        const EngineConfig& config) {
-  QP_TRACE_SPAN("sim.engine.run");
-  c_eng_runs.add();
-  placement.validate(matrix.size());
-  if (config.probe_interval_ms < 0.0 || !std::isfinite(config.probe_interval_ms)) {
-    throw std::invalid_argument{"run_engine: probe_interval_ms must be finite and >= 0"};
+namespace {
+
+/// Rejects a malformed client population (see run_engine /
+/// run_engine_closed_loop for the contract).
+void validate_load(const ClientLoad& load, std::size_t site_count,
+                   const EngineConfig& config) {
+  if (load.closed_loop) {
+    if (load.counts.size() != site_count) {
+      throw std::invalid_argument{
+          "run_engine_closed_loop: one client count per site required"};
+    }
+    if (config.arrival_model != ArrivalModel::Poisson) {
+      throw std::invalid_argument{
+          "run_engine_closed_loop: closed-loop clients have no arrival model"};
+    }
+    // Without retries a lost message fails its request at once and the
+    // client re-issues at the same instant; a client whose quorum is all
+    // on its own down (or full) site would then loop at a frozen clock.
+    if (!config.retry.enabled() &&
+        (!config.outages.empty() || config.queue_capacity > 0)) {
+      throw std::invalid_argument{
+          "run_engine_closed_loop: outages or a finite queue_capacity require "
+          "an enabled retry policy"};
+    }
+    if (std::all_of(load.counts.begin(), load.counts.end(),
+                    [](std::size_t count) { return count == 0; })) {
+      throw std::invalid_argument{"run_engine_closed_loop: no client at any site"};
+    }
+    return;
   }
-  if (arrival_rates_per_ms.size() != matrix.size()) {
+  if (load.rates.size() != site_count) {
     throw std::invalid_argument{"run_engine: one arrival rate per site required"};
   }
   double total_rate = 0.0;
-  for (double rate : arrival_rates_per_ms) {
+  for (double rate : load.rates) {
     if (!(rate >= 0.0) || !std::isfinite(rate)) {
       throw std::invalid_argument{"run_engine: arrival rates must be finite and >= 0"};
     }
@@ -509,8 +559,25 @@ EngineResult run_engine(const net::LatencyMatrix& matrix,
   if (total_rate <= 0.0) {
     throw std::invalid_argument{"run_engine: no client has a positive arrival rate"};
   }
-  if (!(config.service_time_ms > 0.0) || !(config.duration_ms > 0.0) ||
-      !(config.warmup_ms >= 0.0)) {
+}
+
+/// The body both entry points share: validation, the replication fan-out,
+/// and the serial-order reduction.
+EngineResult run_load(const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
+                      const core::Placement& placement, const ClientLoad& load,
+                      const EngineConfig& config) {
+  QP_TRACE_SPAN("sim.engine.run");
+  c_eng_runs.add();
+  placement.validate(matrix.size());
+  if (config.probe_interval_ms < 0.0 || !std::isfinite(config.probe_interval_ms)) {
+    throw std::invalid_argument{"run_engine: probe_interval_ms must be finite and >= 0"};
+  }
+  validate_load(load, matrix.size(), config);
+  const auto finite_positive = [](double value) {
+    return std::isfinite(value) && value > 0.0;
+  };
+  if (!finite_positive(config.service_time_ms) || !finite_positive(config.duration_ms) ||
+      !std::isfinite(config.warmup_ms) || !(config.warmup_ms >= 0.0)) {
     throw std::invalid_argument{"run_engine: bad timing configuration"};
   }
   if (config.replications == 0) {
@@ -535,9 +602,8 @@ EngineResult run_engine(const net::LatencyMatrix& matrix,
   common::ThreadPool& pool =
       config.pool != nullptr ? *config.pool : common::global_thread_pool();
   pool.parallel_for(0, config.replications, [&](std::size_t r) {
-    Replication replication{matrix,  system,
-                            placement, arrival_rates_per_ms,
-                            config,  sampler,
+    Replication replication{matrix, system,  placement,
+                            load,   config,  sampler,
                             replication_seed(config.master_seed, r)};
     replications[r] = replication.run();
   });
@@ -596,6 +662,26 @@ EngineResult run_engine(const net::LatencyMatrix& matrix,
   }
   result.replications = std::move(replications);
   return result;
+}
+
+}  // namespace
+
+EngineResult run_engine(const net::LatencyMatrix& matrix,
+                        const quorum::QuorumSystem& system,
+                        const core::Placement& placement,
+                        std::span<const double> arrival_rates_per_ms,
+                        const EngineConfig& config) {
+  return run_load(matrix, system, placement, ClientLoad{.rates = arrival_rates_per_ms},
+                  config);
+}
+
+EngineResult run_engine_closed_loop(const net::LatencyMatrix& matrix,
+                                    const quorum::QuorumSystem& system,
+                                    const core::Placement& placement,
+                                    std::span<const std::size_t> clients_per_site,
+                                    const EngineConfig& config) {
+  return run_load(matrix, system, placement,
+                  ClientLoad{.counts = clients_per_site, .closed_loop = true}, config);
 }
 
 void write_engine_timeseries_csv(const EngineResult& result, std::ostream& out) {

@@ -1,15 +1,21 @@
-// Open-loop discrete-event queueing engine — the simulation counterpart of
-// the analytic §4/§6/§7 response-time objectives.
+// Discrete-event queueing engine — the simulation counterpart of the
+// analytic §4/§6/§7 response-time objectives and the stand-in for the
+// paper's §3 Q/U-on-Modelnet testbed.
 //
-// Model: one open-loop client per site issues quorum operations as a
-// Poisson (or bursty MMPP) stream at its configured rate; each operation
-// picks a quorum by the configured access strategy (closest / balanced /
-// explicit LP distributions), sends one message per quorum element, and
-// completes when the last reply returns. A message reaches server site
-// f(u) after rtt/2, waits in the site's FIFO queue (optionally finite:
-// overflow is dropped), is served for a deterministic or exponential
-// service time by the single server core, and the reply takes another
-// rtt/2. Scheduled ServerOutages (hand-written or compiled by
+// Two client models share one request path:
+//   * open loop (run_engine) — one client per site issues quorum operations
+//     as a Poisson (or bursty MMPP) stream at its configured rate;
+//   * closed loop (run_engine_closed_loop) — clients_per_site[v] clients at
+//     site v each issue a request, wait until it resolves (completed,
+//     failed, or abandoned), and immediately issue the next, as §3's Q/U
+//     clients do. First requests are staggered uniformly over [0, 1) ms.
+// Each operation picks a quorum by the configured access strategy
+// (closest / balanced / explicit LP distributions), sends one message per
+// quorum element, and completes when the last reply returns. A message
+// reaches server site f(u) after rtt/2, waits in the site's FIFO queue
+// (optionally finite: overflow is dropped), is served for a deterministic
+// or exponential service time by the single server core, and the reply
+// takes another rtt/2. Scheduled ServerOutages (hand-written or compiled by
 // sim/fault's FaultInjector) drop messages arriving in their window.
 //
 // With the retry machinery enabled (EngineConfig::retry, sim/retry.hpp)
@@ -80,6 +86,7 @@ struct EngineConfig {
   /// Arrivals beyond the limit are rejected and counted.
   std::size_t queue_capacity = 0;
 
+  /// Open-loop arrival process (closed-loop runs require Poisson).
   ArrivalModel arrival_model = ArrivalModel::Poisson;
   MmppConfig mmpp{};
 
@@ -206,14 +213,29 @@ struct EngineResult {
   std::vector<ReplicationResult> replications;
 };
 
-/// Runs the engine: client v issues at arrival_rates_per_ms[v] (one entry
-/// per site; 0 = no client there). Deterministic in config.master_seed for
-/// any thread count.
+/// Runs the engine with open-loop clients: client v issues at
+/// arrival_rates_per_ms[v] (one entry per site; 0 = no client there).
+/// Deterministic in config.master_seed for any thread count. Throws
+/// std::invalid_argument on a bad rate vector or configuration (timings
+/// must be finite: service_time_ms and duration_ms > 0, warmup_ms >= 0).
 [[nodiscard]] EngineResult run_engine(const net::LatencyMatrix& matrix,
                                       const quorum::QuorumSystem& system,
                                       const core::Placement& placement,
                                       std::span<const double> arrival_rates_per_ms,
                                       const EngineConfig& config);
+
+/// Runs the engine with closed-loop clients: clients_per_site[v] clients at
+/// site v (one entry per site; 0 = none there), each issuing its next
+/// request the moment the previous one resolves, until warmup_ms +
+/// duration_ms. Same validation, seeding, and determinism as run_engine;
+/// additionally throws std::invalid_argument unless arrival_model is
+/// Poisson (closed-loop clients have no arrival process), when no site has
+/// a client, and when outages or queue_capacity > 0 come without an enabled
+/// retry policy (a lost message would re-issue at a frozen clock).
+[[nodiscard]] EngineResult run_engine_closed_loop(
+    const net::LatencyMatrix& matrix, const quorum::QuorumSystem& system,
+    const core::Placement& placement, std::span<const std::size_t> clients_per_site,
+    const EngineConfig& config);
 
 /// Scales per-client arrival rates so the busiest site reaches utilization
 /// `peak_rho`. `site_load` is the per-access probability that a demand-

@@ -1,14 +1,13 @@
-// Retry/timeout policy and failure suspicion shared by the simulators.
+// Retry/timeout policy and failure suspicion of the queueing engine.
 //
-// This is the request-recovery machinery generalized out of the closed-loop
-// protocol simulator (sim/protocol_sim, which pins the paper's §3 behavior
-// bitwise) so the open-loop queueing engine (sim/engine) can measure
-// behavior *during* failures: a per-request timeout arms each attempt,
-// expired attempts retry on a fresh quorum after exponential backoff with
-// deterministic jitter (all randomness through the caller's common::Rng
-// stream, so runs stay bit-identical for any thread count), and sites that
-// failed to reply before the timeout land on a suspicion list that failover
-// quorum re-choice consults until the suspicion expires.
+// The request-recovery machinery that lets sim/engine (open- and
+// closed-loop clients alike) measure behavior *during* failures: a
+// per-request timeout arms each attempt, expired attempts retry on a fresh
+// quorum after exponential backoff with deterministic jitter (all
+// randomness through the caller's common::Rng stream, so runs stay
+// bit-identical for any thread count), and sites that failed to reply
+// before the timeout land on a suspicion list that failover quorum
+// re-choice consults until the suspicion expires.
 #pragma once
 
 #include <cstddef>

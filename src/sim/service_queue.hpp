@@ -1,8 +1,7 @@
-// Shared discrete-event server components: a single-core FIFO service
-// station with optional finite capacity and measurement-window busy-time
-// accounting, plus a per-site outage schedule. Both the open-loop queueing
-// engine (sim/engine) and the closed-loop protocol simulator
-// (sim/protocol_sim) are thin layers over these.
+// Discrete-event server components of the queueing engine (sim/engine): a
+// single-core FIFO service station with optional finite capacity and
+// measurement-window busy-time accounting, plus a per-site outage schedule
+// (also the compiled output of sim/fault's FaultInjector).
 //
 // A FIFO single server whose service times are known on admission can
 // compute every departure synchronously — depart = max(next_free, now) +
@@ -47,7 +46,6 @@ class OutageSchedule {
   /// std::invalid_argument on an empty window.
   OutageSchedule(std::span<const ServerOutage> outages, std::size_t site_count);
 
-  [[nodiscard]] bool empty() const noexcept { return by_site_.empty(); }
   [[nodiscard]] bool down_at(std::size_t site, double time) const noexcept;
 
   /// The merged, disjoint, strictly ascending down windows of `site` (empty
@@ -89,7 +87,6 @@ class ServiceStation {
   /// never rejects.
   double accept(double now, double service_time);
 
-  [[nodiscard]] double next_free() const noexcept { return next_free_; }
   /// Service time accumulated inside the measurement window, ms.
   [[nodiscard]] double busy_in_window() const noexcept { return busy_; }
 

@@ -21,7 +21,7 @@
 #include "quorum/majority.hpp"
 #include "quorum/tree.hpp"
 #include "sim/client_sites.hpp"
-#include "sim/protocol_sim.hpp"
+#include "sim/engine.hpp"
 
 namespace qp {
 namespace {
@@ -72,11 +72,13 @@ TEST(CrossModule, SimulatorAgreesWithAnalyticModelWhenUnloaded) {
   const std::vector<std::size_t> clients =
       sim::representative_client_sites(m, system, placement, 3);
 
-  sim::ProtocolSimConfig config;
+  sim::EngineConfig config;
   config.duration_ms = 30'000.0;
   config.warmup_ms = 2'000.0;
-  config.seed = 17;
-  const auto sim_result = sim::run_protocol_sim(m, system, placement, clients, config);
+  config.master_seed = 17;
+  config.replications = 1;
+  const auto sim_result = sim::run_engine_closed_loop(
+      m, system, placement, sim::clients_at_sites(m.size(), clients, 1), config);
 
   double analytic = 0.0;
   for (std::size_t v : clients) {
@@ -84,9 +86,9 @@ TEST(CrossModule, SimulatorAgreesWithAnalyticModelWhenUnloaded) {
     analytic += system.expected_max_uniform(values);
   }
   analytic /= static_cast<double>(clients.size());
-  EXPECT_NEAR(sim_result.avg_response_ms, analytic + config.service_time_ms,
+  EXPECT_NEAR(sim_result.mean_response_ms, analytic + config.service_time_ms,
               0.05 * analytic + 1.0);
-  EXPECT_NEAR(sim_result.avg_network_delay_ms, analytic, 0.05 * analytic + 0.5);
+  EXPECT_NEAR(sim_result.mean_network_delay_ms, analytic, 0.05 * analytic + 0.5);
 }
 
 TEST(CrossModule, WaxmanGraphFullPipelineWithLpStrategies) {

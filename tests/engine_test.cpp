@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <vector>
@@ -80,6 +81,24 @@ TEST(Engine, BitIdenticalAcrossThreadCounts) {
   config.pool = nullptr;
   const EngineResult c = run_engine(f.matrix, f.system, f.placement, rates, config);
   expect_replications_identical(a, c);
+
+  // Closed-loop clients share the fan-out and reduction: same guarantee.
+  const std::vector<std::size_t> clients(f.matrix.size(), 2);
+  config.pool = &serial;
+  const EngineResult closed_a =
+      run_engine_closed_loop(f.matrix, f.system, f.placement, clients, config);
+  config.pool = &parallel;
+  const EngineResult closed_b =
+      run_engine_closed_loop(f.matrix, f.system, f.placement, clients, config);
+  expect_replications_identical(closed_a, closed_b);
+  EXPECT_EQ(closed_a.mean_network_delay_ms, closed_b.mean_network_delay_ms);
+  EXPECT_EQ(closed_a.failed, closed_b.failed);
+  EXPECT_EQ(closed_a.abandoned, closed_b.abandoned);
+  EXPECT_EQ(closed_a.dropped_messages, closed_b.dropped_messages);
+  EXPECT_EQ(closed_a.rejected_arrivals, closed_b.rejected_arrivals);
+  EXPECT_EQ(closed_a.retries, closed_b.retries);
+  EXPECT_EQ(closed_a.stale_replies, closed_b.stale_replies);
+  EXPECT_GT(closed_a.completed, 0u);
 }
 
 TEST(Engine, DeterministicInSeedAndSensitiveToIt) {
@@ -214,6 +233,18 @@ TEST(Engine, ValidatesConfiguration) {
   config.outages = {{f.matrix.size() + 5, 0.0, 1.0}};
   EXPECT_THROW((void)run_engine(f.matrix, f.system, f.placement, rates, config),
                std::out_of_range);
+  // Infinite timings would never drain (duration, warmup) or poison every
+  // mean (service): rejected up front.
+  config.outages.clear();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (double EngineConfig::*field :
+       {&EngineConfig::duration_ms, &EngineConfig::warmup_ms,
+        &EngineConfig::service_time_ms}) {
+    EngineConfig infinite = config;
+    infinite.*field = kInf;
+    EXPECT_THROW((void)run_engine(f.matrix, f.system, f.placement, rates, infinite),
+                 std::invalid_argument);
+  }
 }
 
 // ------------------------------------------------------- arrival processes

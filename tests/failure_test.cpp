@@ -1,6 +1,7 @@
-// Failure-injection tests for the protocol simulator: server outages drop
-// messages, clients time out and retry on fresh quorums, and the system
-// keeps serving thanks to the quorum intersection property.
+// Failure-injection tests for closed-loop clients on the queueing engine:
+// server outages drop messages, clients time out and retry immediately on
+// fresh quorums, and the system keeps serving thanks to the quorum
+// intersection property.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -8,8 +9,9 @@
 #include "core/placement.hpp"
 #include "net/synthetic.hpp"
 #include "quorum/majority.hpp"
+#include "quorum/singleton.hpp"
 #include "sim/client_sites.hpp"
-#include "sim/protocol_sim.hpp"
+#include "sim/engine.hpp"
 
 namespace qp::sim {
 namespace {
@@ -18,162 +20,198 @@ struct Fixture {
   net::LatencyMatrix matrix = net::small_synth(14, 77);
   quorum::MajorityQuorum system{5, 3};
   core::Placement placement = core::best_majority_placement(matrix, system).placement;
-  std::vector<std::size_t> clients =
+  std::vector<std::size_t> sites =
       representative_client_sites(matrix, system, placement, 4);
+
+  [[nodiscard]] EngineResult run(const EngineConfig& config,
+                                 std::size_t per_site = 1) const {
+    return run_engine_closed_loop(matrix, system, placement,
+                                  clients_at_sites(matrix.size(), sites, per_site), config);
+  }
 };
 
-ProtocolSimConfig base_config() {
-  ProtocolSimConfig config;
+/// Uniform quorum draws; an attempt without a full quorum of replies after
+/// 600 ms is retried at once on a fresh quorum, up to 10 attempts.
+EngineConfig base_config() {
+  EngineConfig config;
   config.duration_ms = 4000.0;
   config.warmup_ms = 500.0;
-  config.seed = 5;
-  config.request_timeout_ms = 600.0;
+  config.master_seed = 5;
+  config.replications = 1;
+  config.retry.timeout_ms = 600.0;
+  config.retry.max_attempts = 10;
   return config;
 }
 
 TEST(FailureInjection, NoOutagesMeansNoRetriesOrDrops) {
   const Fixture f;
-  const auto result =
-      run_protocol_sim(f.matrix, f.system, f.placement, f.clients, base_config());
-  EXPECT_EQ(result.failed_requests, 0u);
-  EXPECT_EQ(result.total_retries, 0u);
+  const auto result = f.run(base_config());
+  EXPECT_EQ(result.failed + result.abandoned, 0u);
+  EXPECT_EQ(result.retries, 0u);
   EXPECT_EQ(result.dropped_messages, 0u);
-  EXPECT_GT(result.completed_requests, 0u);
+  EXPECT_GT(result.completed, 0u);
 }
 
 TEST(FailureInjection, OutageDropsMessagesAndTriggersRetries) {
   const Fixture f;
-  ProtocolSimConfig config = base_config();
+  EngineConfig config = base_config();
   // Take one server site down for a chunk of the measured window.
   const std::size_t victim = f.placement.site_of[0];
   config.outages = {{victim, 1000.0, 2500.0}};
-  const auto result = run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config);
+  const auto result = f.run(config);
   EXPECT_GT(result.dropped_messages, 0u);
-  EXPECT_GT(result.total_retries, 0u);
+  EXPECT_GT(result.retries, 0u);
   // Quorum intersection lets retries route around the dead server: the
   // system keeps completing requests.
-  EXPECT_GT(result.completed_requests, 50u);
+  EXPECT_GT(result.completed, 50u);
 }
 
 TEST(FailureInjection, OutageInflatesTailResponseTime) {
   const Fixture f;
-  ProtocolSimConfig config = base_config();
-  const auto healthy =
-      run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config);
+  EngineConfig config = base_config();
+  const auto healthy = f.run(config);
   config.outages = {{f.placement.site_of[0], 1000.0, 2500.0}};
-  const auto degraded =
-      run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config);
+  const auto degraded = f.run(config);
   // Timeouts (600 ms) dominate the affected requests' latency.
-  EXPECT_GT(degraded.response_stats.max(), healthy.response_stats.max());
-  EXPECT_GT(degraded.avg_response_ms, healthy.avg_response_ms);
+  EXPECT_GT(degraded.response.max(), healthy.response.max());
+  EXPECT_GT(degraded.mean_response_ms, healthy.mean_response_ms);
 }
 
 TEST(FailureInjection, TotalOutageExhaustsAttempts) {
   const Fixture f;
-  ProtocolSimConfig config = base_config();
-  config.max_attempts = 2;
+  EngineConfig config = base_config();
+  config.retry.max_attempts = 2;
   // Majority(3/5) requires 3 of 5 servers; kill 3 for the entire run.
   config.outages = {{f.placement.site_of[0], 0.0, 10'000.0},
                     {f.placement.site_of[1], 0.0, 10'000.0},
                     {f.placement.site_of[2], 0.0, 10'000.0}};
-  const auto result = run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config);
+  const auto result = f.run(config);
   // Every quorum intersects the dead set, so nothing can complete.
-  EXPECT_EQ(result.completed_requests, 0u);
-  EXPECT_GT(result.failed_requests, 0u);
+  EXPECT_EQ(result.completed, 0u);
+  EXPECT_GT(result.abandoned, 0u);
 }
 
 TEST(FailureInjection, MinorityOutageOfTwoServersStillServes) {
   const Fixture f;
-  ProtocolSimConfig config = base_config();
+  EngineConfig config = base_config();
   // 2 of 5 down for the whole run: only 1 of the 10 possible quorums is
   // fully alive, so blind uniform retries need many attempts (expected 10)
   // before hitting it. Give them room: short timeout, long window, more
   // clients, generous attempt budget.
   config.duration_ms = 12'000.0;
-  config.request_timeout_ms = 250.0;
-  config.clients_per_site = 3;
-  config.max_attempts = 60;
+  config.retry.timeout_ms = 250.0;
+  config.retry.max_attempts = 60;
   config.outages = {{f.placement.site_of[0], 0.0, 60'000.0},
                     {f.placement.site_of[1], 0.0, 60'000.0}};
-  const auto result = run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config);
-  EXPECT_GT(result.completed_requests, 0u);
-  EXPECT_GT(result.total_retries, result.completed_requests);
+  const auto result = f.run(config, /*per_site=*/3);
+  EXPECT_GT(result.completed, 0u);
+  EXPECT_GT(result.retries, result.completed);
 }
 
 TEST(FailureInjection, RecoveryRestoresThroughput) {
   const Fixture f;
-  ProtocolSimConfig config = base_config();
+  EngineConfig config = base_config();
   config.duration_ms = 6000.0;
   // Outage confined to the warmup: the measured window sees a healthy system.
   config.outages = {{f.placement.site_of[0], 0.0, 400.0}};
-  const auto early_outage =
-      run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config);
-  ProtocolSimConfig clean = config;
+  const auto early_outage = f.run(config);
+  EngineConfig clean = config;
   clean.outages.clear();
-  const auto healthy = run_protocol_sim(f.matrix, f.system, f.placement, f.clients, clean);
-  EXPECT_NEAR(early_outage.avg_response_ms, healthy.avg_response_ms,
-              0.25 * healthy.avg_response_ms);
+  const auto healthy = f.run(clean);
+  EXPECT_NEAR(early_outage.mean_response_ms, healthy.mean_response_ms,
+              0.25 * healthy.mean_response_ms);
 }
 
 TEST(FailureInjection, ConfigValidation) {
   const Fixture f;
-  ProtocolSimConfig config = base_config();
-  config.request_timeout_ms = 0.0;
+  EngineConfig config = base_config();
+  config.retry.timeout_ms = 0.0;  // Outages need the retry machinery.
   config.outages = {{0, 1.0, 2.0}};
-  EXPECT_THROW((void)run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config),
-               std::invalid_argument);
+  EXPECT_THROW((void)f.run(config), std::invalid_argument);
+  config = base_config();
+  config.retry.timeout_ms = -1.0;
+  EXPECT_THROW((void)f.run(config), std::invalid_argument);
   config = base_config();
   config.outages = {{999, 1.0, 2.0}};
-  EXPECT_THROW((void)run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config),
-               std::out_of_range);
+  EXPECT_THROW((void)f.run(config), std::out_of_range);
   config = base_config();
   config.outages = {{0, 5.0, 5.0}};  // Empty window.
-  EXPECT_THROW((void)run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config),
-               std::invalid_argument);
+  EXPECT_THROW((void)f.run(config), std::invalid_argument);
   config = base_config();
-  config.max_attempts = 0;
-  EXPECT_THROW((void)run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config),
+  config.retry.max_attempts = 0;
+  EXPECT_THROW((void)f.run(config), std::invalid_argument);
+}
+
+TEST(FailureInjection, FailFastClosedLoopIsRejected) {
+  // A client co-located with the singleton's server reaches it at RTT 0.
+  // Without retries each message lost to the outage (or to a full queue)
+  // would fail its request and re-issue the next one at the same instant,
+  // so the clock would never advance; the engine must refuse the run.
+  const net::LatencyMatrix matrix = net::small_synth(8, 9);
+  const quorum::SingletonQuorum singleton;
+  const core::Placement median = core::singleton_placement(matrix);
+  const std::size_t server = median.site_of[0];
+  const std::vector<std::size_t> at_server{server};
+  const std::vector<std::size_t> clients = clients_at_sites(matrix.size(), at_server, 1);
+  EngineConfig config = base_config();
+  config.retry.timeout_ms = 0.0;
+  config.outages = {{server, 1000.0, 2000.0}};
+  EXPECT_THROW((void)run_engine_closed_loop(matrix, singleton, median, clients, config),
                std::invalid_argument);
+  config.outages.clear();
+  config.queue_capacity = 1;
+  EXPECT_THROW((void)run_engine_closed_loop(matrix, singleton, median, clients, config),
+               std::invalid_argument);
+  // With the retry policy on, the run ends: attempts time out, requests
+  // that outlast their attempts are abandoned, and the clock moves on.
+  config.queue_capacity = 0;
+  config.retry.timeout_ms = 200.0;
+  config.retry.max_attempts = 2;
+  config.outages = {{server, 1000.0, 2000.0}};
+  const auto result = run_engine_closed_loop(matrix, singleton, median, clients, config);
+  EXPECT_GT(result.abandoned, 0u);
+  EXPECT_GT(result.completed, 0u);
 }
 
 TEST(FailureInjection, StaleTimeoutAfterCompletionDoesNotRetry) {
   // Regression: a timeout event firing after its request already completed
   // (or moved on) must be discarded, not counted as a retry. With the
   // timeout set beyond the slowest observed response, a healthy run must be
-  // bitwise identical to a run with timeouts effectively disabled — the old
-  // accounting resurrected the last pre-drain request of every client when
-  // its stale timeout fired after the issue window closed.
+  // bitwise identical to a run with timeouts effectively disabled — stale
+  // accounting would resurrect the last pre-drain request of every client
+  // when its stale timeout fired after the issue window closed.
   const Fixture f;
-  ProtocolSimConfig relaxed = base_config();
-  relaxed.request_timeout_ms = 60'000.0;  // Never fires before completion.
-  const auto baseline =
-      run_protocol_sim(f.matrix, f.system, f.placement, f.clients, relaxed);
-  ASSERT_EQ(baseline.total_retries, 0u);
-  ASSERT_EQ(baseline.failed_requests, 0u);
+  EngineConfig relaxed = base_config();
+  relaxed.retry.timeout_ms = 60'000.0;  // Never fires before completion.
+  const auto baseline = f.run(relaxed);
+  ASSERT_EQ(baseline.retries, 0u);
+  ASSERT_EQ(baseline.failed + baseline.abandoned, 0u);
 
-  ProtocolSimConfig timed = base_config();
+  EngineConfig timed = base_config();
   // Tight but safe: above every completed response of the baseline, so a
   // correct simulator never times out — yet every completion leaves a
   // pending timeout event behind to tempt the stale-event accounting.
-  timed.request_timeout_ms = baseline.response_stats.max() * 2.0 + 1.0;
-  const auto result =
-      run_protocol_sim(f.matrix, f.system, f.placement, f.clients, timed);
-  EXPECT_EQ(result.total_retries, 0u);
-  EXPECT_EQ(result.failed_requests, 0u);
-  EXPECT_EQ(result.completed_requests, baseline.completed_requests);
-  EXPECT_DOUBLE_EQ(result.avg_response_ms, baseline.avg_response_ms);
+  timed.retry.timeout_ms = baseline.response.max() * 2.0 + 1.0;
+  const auto result = f.run(timed);
+  EXPECT_EQ(result.retries, 0u);
+  EXPECT_EQ(result.failed + result.abandoned, 0u);
+  EXPECT_EQ(result.completed, baseline.completed);
+  EXPECT_EQ(result.mean_response_ms, baseline.mean_response_ms);
+  EXPECT_EQ(result.replications[0].response_samples,
+            baseline.replications[0].response_samples);
 }
 
 TEST(FailureInjection, DeterministicUnderFailures) {
   const Fixture f;
-  ProtocolSimConfig config = base_config();
+  EngineConfig config = base_config();
   config.outages = {{f.placement.site_of[1], 800.0, 2000.0}};
-  const auto a = run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config);
-  const auto b = run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config);
-  EXPECT_EQ(a.completed_requests, b.completed_requests);
-  EXPECT_EQ(a.total_retries, b.total_retries);
+  const auto a = f.run(config);
+  const auto b = f.run(config);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.retries, b.retries);
   EXPECT_EQ(a.dropped_messages, b.dropped_messages);
-  EXPECT_DOUBLE_EQ(a.avg_response_ms, b.avg_response_ms);
+  EXPECT_EQ(a.stale_replies, b.stale_replies);
+  EXPECT_EQ(a.mean_response_ms, b.mean_response_ms);
 }
 
 }  // namespace

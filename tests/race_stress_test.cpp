@@ -287,6 +287,47 @@ TEST(RaceStress, EngineFaultRetryFailoverBitIdenticalAcrossThreadCounts) {
           << threads;
     }
   }
+
+  // Closed-loop clients through a fault storm with blind retries: each
+  // resolution (completion or abandonment) issues the client's next
+  // request, so the retry pipeline feeds the issue stream itself. The
+  // window and timeout are long enough for requests to complete between
+  // outages (a closed-loop client stuck on one request issues no other).
+  base.failover = qp::sim::FailoverMode::None;
+  base.duration_ms = 1'500.0;
+  base.replications = 4;
+  base.retry.timeout_ms = 300.0;
+  fault.horizon_ms = base.warmup_ms + base.duration_ms;
+  base.outages = qp::sim::FaultInjector{fault}.schedule(9);
+  const std::vector<std::size_t> clients(9, 3);
+  std::vector<qp::sim::EngineResult> runs;
+  for (std::size_t threads : {1u, 4u}) {
+    qp::common::ThreadPool pool{threads};
+    qp::sim::EngineConfig config = base;
+    config.pool = &pool;
+    runs.push_back(
+        qp::sim::run_engine_closed_loop(matrix, system, placement, clients, config));
+  }
+  const qp::sim::EngineResult& a = runs[0];
+  const qp::sim::EngineResult& b = runs[1];
+  EXPECT_GT(a.retries, 0u);
+  EXPECT_GT(a.completed, 0u);
+  EXPECT_GT(a.abandoned, 0u);
+  EXPECT_EQ(a.mean_response_ms, b.mean_response_ms);
+  EXPECT_EQ(a.mean_network_delay_ms, b.mean_network_delay_ms);
+  EXPECT_EQ(a.p99_ms, b.p99_ms);
+  EXPECT_EQ(a.degraded_p99_ms, b.degraded_p99_ms);
+  EXPECT_EQ(a.issued, b.issued);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.failed, b.failed);
+  EXPECT_EQ(a.abandoned, b.abandoned);
+  EXPECT_EQ(a.dropped_messages, b.dropped_messages);
+  EXPECT_EQ(a.rejected_arrivals, b.rejected_arrivals);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.stale_replies, b.stale_replies);
+  EXPECT_EQ(a.unavailability, b.unavailability);
+  EXPECT_EQ(a.retried_response.mean(), b.retried_response.mean());
+  EXPECT_EQ(a.site_utilization, b.site_utilization);
 }
 
 TEST(RaceStress, EngineRunsNestedInsideParallelFor) {

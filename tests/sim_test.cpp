@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -9,7 +11,7 @@
 #include "quorum/singleton.hpp"
 #include "sim/client_sites.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/protocol_sim.hpp"
+#include "sim/engine.hpp"
 
 namespace qp::sim {
 namespace {
@@ -112,127 +114,144 @@ TEST(EventQueue, RejectsSchedulingInThePast) {
   EXPECT_THROW(queue.schedule(1.0, 0), std::invalid_argument);
 }
 
-// ------------------------------------------------------------ Protocol sim
+// ------------------------------------------------ Closed-loop engine clients
+//
+// §3's closed loop on sim/engine: each client issues a request, waits for a
+// full quorum of replies, and issues the next.
 
 struct SimFixture {
   LatencyMatrix matrix = net::small_synth(16, 5);
   quorum::MajorityQuorum system{6, 5};  // Q/U with t = 1.
   core::Placement placement = core::best_majority_placement(matrix, system).placement;
-  std::vector<std::size_t> clients =
+  std::vector<std::size_t> sites =
       representative_client_sites(matrix, system, placement, 4);
+
+  [[nodiscard]] std::vector<std::size_t> clients(std::size_t per_site = 1) const {
+    return clients_at_sites(matrix.size(), sites, per_site);
+  }
 };
 
-TEST(ProtocolSim, DeterministicInSeed) {
-  const SimFixture f;
-  ProtocolSimConfig config;
-  config.duration_ms = 2000.0;
-  config.warmup_ms = 200.0;
-  config.seed = 7;
-  const auto a = run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config);
-  const auto b = run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config);
-  EXPECT_DOUBLE_EQ(a.avg_response_ms, b.avg_response_ms);
-  EXPECT_EQ(a.completed_requests, b.completed_requests);
-  config.seed = 8;
-  const auto c = run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config);
-  EXPECT_NE(a.avg_response_ms, c.avg_response_ms);
+EngineConfig closed_loop_config(double duration_ms, double warmup_ms) {
+  EngineConfig config;
+  config.duration_ms = duration_ms;
+  config.warmup_ms = warmup_ms;
+  config.replications = 1;
+  return config;
 }
 
-TEST(ProtocolSim, ResponseAtLeastNetworkDelayPlusService) {
+/// Mean measurement-window utilization over the sites hosting a server.
+double server_utilization(const EngineResult& result, const core::Placement& placement) {
+  const std::vector<std::size_t> support = placement.support_set();
+  double total = 0.0;
+  for (std::size_t site : support) total += result.site_utilization[site];
+  return total / static_cast<double>(support.size());
+}
+
+TEST(ClosedLoop, DeterministicInSeed) {
   const SimFixture f;
-  ProtocolSimConfig config;
-  config.duration_ms = 2000.0;
-  config.warmup_ms = 200.0;
-  const auto result = run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config);
-  EXPECT_GT(result.completed_requests, 0u);
+  EngineConfig config = closed_loop_config(2000.0, 200.0);
+  config.master_seed = 7;
+  const auto a = run_engine_closed_loop(f.matrix, f.system, f.placement, f.clients(), config);
+  const auto b = run_engine_closed_loop(f.matrix, f.system, f.placement, f.clients(), config);
+  EXPECT_EQ(a.mean_response_ms, b.mean_response_ms);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.replications[0].response_samples, b.replications[0].response_samples);
+  config.master_seed = 8;
+  const auto c = run_engine_closed_loop(f.matrix, f.system, f.placement, f.clients(), config);
+  EXPECT_NE(a.mean_response_ms, c.mean_response_ms);
+}
+
+TEST(ClosedLoop, ResponseAtLeastNetworkDelayPlusService) {
+  const SimFixture f;
+  const EngineConfig config = closed_loop_config(2000.0, 200.0);
+  const auto result =
+      run_engine_closed_loop(f.matrix, f.system, f.placement, f.clients(), config);
+  EXPECT_GT(result.completed, 0u);
   // Every request waits at least its network delay plus one service time.
-  EXPECT_GE(result.avg_response_ms,
-            result.avg_network_delay_ms + config.service_time_ms - 1e-9);
-  EXPECT_GE(result.response_stats.min(), result.network_stats.min() - 1e-9);
+  EXPECT_GE(result.mean_response_ms,
+            result.mean_network_delay_ms + config.service_time_ms - 1e-9);
+  EXPECT_GE(result.response.min(),
+            result.replications[0].network.min() + config.service_time_ms - 1e-9);
 }
 
-TEST(ProtocolSim, UnloadedSystemMatchesNetworkDelayClosely) {
+TEST(ClosedLoop, UnloadedSystemMatchesNetworkDelayClosely) {
   // One client, long RTTs: queueing is negligible, so response ~= network
   // delay + service.
   const SimFixture f;
-  ProtocolSimConfig config;
-  config.duration_ms = 3000.0;
-  config.warmup_ms = 300.0;
-  const std::vector<std::size_t> one_client{f.clients[0]};
-  const auto result = run_protocol_sim(f.matrix, f.system, f.placement, one_client, config);
-  EXPECT_NEAR(result.avg_response_ms, result.avg_network_delay_ms + config.service_time_ms,
-              0.5);
+  const EngineConfig config = closed_loop_config(3000.0, 300.0);
+  const std::vector<std::size_t> one_client =
+      clients_at_sites(f.matrix.size(), std::vector<std::size_t>{f.sites[0]}, 1);
+  const auto result =
+      run_engine_closed_loop(f.matrix, f.system, f.placement, one_client, config);
+  EXPECT_NEAR(result.mean_response_ms,
+              result.mean_network_delay_ms + config.service_time_ms, 0.5);
 }
 
-TEST(ProtocolSim, ResponseGrowsWithClientCount) {
+TEST(ClosedLoop, ResponseGrowsWithClientCount) {
   const SimFixture f;
-  ProtocolSimConfig config;
-  config.duration_ms = 3000.0;
-  config.warmup_ms = 300.0;
-  config.seed = 11;
-  config.clients_per_site = 1;
-  const auto light = run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config);
-  config.clients_per_site = 25;
-  const auto heavy = run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config);
-  EXPECT_GT(heavy.avg_response_ms, light.avg_response_ms);
+  EngineConfig config = closed_loop_config(3000.0, 300.0);
+  config.master_seed = 11;
+  const auto light =
+      run_engine_closed_loop(f.matrix, f.system, f.placement, f.clients(1), config);
+  const auto heavy =
+      run_engine_closed_loop(f.matrix, f.system, f.placement, f.clients(25), config);
+  EXPECT_GT(heavy.mean_response_ms, light.mean_response_ms);
   // Network delay distribution is load-independent (uniform quorum draws).
-  EXPECT_NEAR(heavy.avg_network_delay_ms, light.avg_network_delay_ms,
-              0.15 * light.avg_network_delay_ms);
-  EXPECT_GT(heavy.avg_server_busy_fraction, light.avg_server_busy_fraction);
+  EXPECT_NEAR(heavy.mean_network_delay_ms, light.mean_network_delay_ms,
+              0.15 * light.mean_network_delay_ms);
+  EXPECT_GT(server_utilization(heavy, f.placement), server_utilization(light, f.placement));
 }
 
-TEST(ProtocolSim, ClosedLoopThroughputConsistency) {
+TEST(ClosedLoop, ThroughputObeysLittlesLaw) {
   // Little's law sanity: completed requests ~= clients * window / mean response.
   const SimFixture f;
-  ProtocolSimConfig config;
-  config.duration_ms = 4000.0;
-  config.warmup_ms = 500.0;
-  config.clients_per_site = 2;
-  const auto result = run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config);
-  const double clients = static_cast<double>(f.clients.size() * config.clients_per_site);
-  const double predicted = clients * config.duration_ms / result.avg_response_ms;
-  EXPECT_NEAR(static_cast<double>(result.completed_requests), predicted, 0.15 * predicted);
+  const EngineConfig config = closed_loop_config(4000.0, 500.0);
+  const auto result =
+      run_engine_closed_loop(f.matrix, f.system, f.placement, f.clients(2), config);
+  const double clients = static_cast<double>(f.sites.size() * 2);
+  const double predicted = clients * config.duration_ms / result.mean_response_ms;
+  EXPECT_NEAR(static_cast<double>(result.completed), predicted, 0.15 * predicted);
 }
 
-TEST(ProtocolSim, ClosestStrategyReducesNetworkDelay) {
+TEST(ClosedLoop, ClosestStrategyReducesNetworkDelay) {
   const SimFixture f;
-  ProtocolSimConfig config;
-  config.duration_ms = 2000.0;
-  config.warmup_ms = 200.0;
-  const auto uniform = run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config);
-  config.use_closest_strategy = true;
-  const auto closest = run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config);
-  EXPECT_LE(closest.avg_network_delay_ms, uniform.avg_network_delay_ms + 1e-9);
+  EngineConfig config = closed_loop_config(2000.0, 200.0);
+  config.strategy = EngineStrategy::Balanced;  // Uniform quorum draws.
+  const auto uniform =
+      run_engine_closed_loop(f.matrix, f.system, f.placement, f.clients(), config);
+  config.strategy = EngineStrategy::Closest;
+  const auto closest =
+      run_engine_closed_loop(f.matrix, f.system, f.placement, f.clients(), config);
+  EXPECT_LE(closest.mean_network_delay_ms, uniform.mean_network_delay_ms + 1e-9);
 }
 
-TEST(ProtocolSim, SingletonProtocol) {
+TEST(ClosedLoop, SingletonProtocol) {
   const LatencyMatrix m = net::small_synth(8, 9);
   const quorum::SingletonQuorum singleton;
   const core::Placement placement = core::singleton_placement(m);
-  const std::vector<std::size_t> clients{0, 1, 2};
-  ProtocolSimConfig config;
-  config.duration_ms = 1000.0;
-  config.warmup_ms = 100.0;
-  const auto result = run_protocol_sim(m, singleton, placement, clients, config);
-  EXPECT_GT(result.completed_requests, 0u);
+  const std::vector<std::size_t> clients =
+      clients_at_sites(m.size(), std::vector<std::size_t>{0, 1, 2}, 1);
+  const EngineConfig config = closed_loop_config(1000.0, 100.0);
+  const auto result = run_engine_closed_loop(m, singleton, placement, clients, config);
+  EXPECT_GT(result.completed, 0u);
 }
 
-TEST(ProtocolSim, ValidatesConfig) {
+TEST(ClosedLoop, ValidatesConfig) {
   const SimFixture f;
-  ProtocolSimConfig config;
-  config.clients_per_site = 0;
-  EXPECT_THROW(
-      (void)run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config),
-      std::invalid_argument);
-  config.clients_per_site = 1;
+  EngineConfig config = closed_loop_config(100.0, 10.0);
+  const auto run = [&](std::span<const std::size_t> clients) {
+    return run_engine_closed_loop(f.matrix, f.system, f.placement, clients, config);
+  };
+  EXPECT_THROW((void)run(f.clients(0)), std::invalid_argument);  // No client anywhere.
+  EXPECT_THROW((void)run({}), std::invalid_argument);            // Not one entry per site.
   config.duration_ms = -1.0;
-  EXPECT_THROW(
-      (void)run_protocol_sim(f.matrix, f.system, f.placement, f.clients, config),
-      std::invalid_argument);
+  EXPECT_THROW((void)run(f.clients()), std::invalid_argument);
+  config.duration_ms = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)run(f.clients()), std::invalid_argument);
   config.duration_ms = 100.0;
-  EXPECT_THROW((void)run_protocol_sim(f.matrix, f.system, f.placement, {}, config),
-               std::invalid_argument);
-  const std::vector<std::size_t> bad_site{99};
-  EXPECT_THROW((void)run_protocol_sim(f.matrix, f.system, f.placement, bad_site, config),
+  config.arrival_model = ArrivalModel::Mmpp;  // Closed-loop clients have none.
+  EXPECT_THROW((void)run(f.clients()), std::invalid_argument);
+  EXPECT_THROW((void)clients_at_sites(f.matrix.size(), std::vector<std::size_t>{99}, 1),
                std::out_of_range);
 }
 
