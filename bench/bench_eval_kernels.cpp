@@ -321,20 +321,18 @@ int main(int argc, char** argv) {
         });
   }
 
-  // --- The closest-strategy candidate-scan hotspot, before/after: on
-  // synthetic-500, objective_if_moved repriced every client's chosen quorum
-  // per candidate (~68us). Attaching the ClientCandidateIndex routes the
-  // candidate through the site->clients inverted lists instead, touching
-  // only the clients whose choice the move can flip or whose loads it
-  // shifts — and classifies each with the O(k) grid-argmin reconstruction,
-  // so a list client whose winning cell is unchanged costs a handful of
-  // min/max selections instead of the k*k rescan. The "after" row is the
-  // capped-64 production configuration the 10k-50k searches run (~39us vs
-  // ~60us scan); the genuine win is still asymptotic, per-move cost k*O(n)
-  // instead of O(n^2) — bench_large_topology's scaling table is the
-  // figure. The _exact row is the uncapped parity mode (audited against
-  // the full scan at level 2): its coverage lists are nearly dense at
-  // n=500, yet the pruned classification keeps it under the scan (~47us).
+  // --- The closest-strategy candidate routine on synthetic-500, with and
+  // without a ClientCandidateIndex. The _scan row attaches no index, so
+  // every candidate classifies all 500 clients (O(1) or O(k) each, keep
+  // intervals and reprice certificates included). The indexed rows route
+  // the candidate through the site->clients inverted lists instead,
+  // touching only the clients whose choice the move can flip or whose
+  // loads it shifts. The capped-64 row is the production configuration the
+  // 10k-50k searches run; the genuine win is asymptotic, per-move cost
+  // k*O(n) instead of O(n^2) — bench_large_topology's scaling table is the
+  // figure. The _exact row is the uncapped mode local search runs on every
+  // dense matrix (audited at level 2 against the same routine over every
+  // client): its coverage lists are nearly dense at n=500.
   {
     auto scenario = std::make_shared<sim::Scenario>(sim::synthetic500_scenario());
     auto grid500 = std::make_shared<quorum::GridQuorum>(7);
@@ -364,10 +362,8 @@ int main(int argc, char** argv) {
             core::DeltaEvaluator eval{scenario->matrix, *grid500, *placement500,
                                       *closest500};
             const net::KnnIndex knn{scenario->matrix};
-            core::ClientCandidateIndex::Config config;
-            config.cap = cap;
             const core::ClientCandidateIndex index = core::ClientCandidateIndex::build(
-                scenario->matrix, &knn, eval.best_values(), config);
+                scenario->matrix, &knn, eval.best_values(), cap);
             eval.attach_candidate_index(&index);
             std::size_t site = 0;
             std::size_t element = 0;
@@ -381,17 +377,16 @@ int main(int argc, char** argv) {
   }
 
   // --- Client-index rebuild schedule, before/after: the exact-mode lists
-  // above are built from the INITIAL placement's m1 radii and the old
-  // search kept them for the whole run. As the search moves, per-client m1
-  // drifts both ways: clients whose radius shrank carry needlessly dense
-  // lists, and clients whose radius outgrew their coverage fall into the
-  // always-rechecked overflow set. The schedule rebuilds the lists from
-  // the current radii every client_index_rebuild accepted moves, keeping
-  // lists as tight as the current placement allows and the overflow set
-  // empty. Rows, all on the same locally-improved placement: the dense
-  // scan, the stale initial-radii lists (before), and lists rebuilt from
-  // the current radii (after) — the after row is what the scheduled search
-  // actually evaluates candidates with.
+  // above are built from the INITIAL placement's m1 radii. As the search
+  // moves, per-client m1 drifts both ways: clients whose radius shrank
+  // carry needlessly dense lists, and clients whose radius outgrew their
+  // coverage fall into the always-classified overflow set. Local search
+  // rebuilds the lists from the current radii every 16 accepted moves,
+  // keeping lists as tight as the current placement allows and the
+  // overflow set empty. Rows, all on the same locally-improved placement:
+  // no index (every client classified), the stale initial-radii lists
+  // (before), and lists rebuilt from the current radii (after) — the after
+  // row is what the scheduled search actually evaluates candidates with.
   {
     auto scenario = std::make_shared<sim::Scenario>(sim::synthetic500_scenario());
     auto grid500 = std::make_shared<quorum::GridQuorum>(7);
@@ -423,7 +418,7 @@ int main(int argc, char** argv) {
                                                       *initial500, *closest500};
               index = core::ClientCandidateIndex::build(
                   scenario->matrix, &knn,
-                  stale_radii ? initial_eval.best_values() : eval.best_values(), {});
+                  stale_radii ? initial_eval.best_values() : eval.best_values(), 0);
               eval.attach_candidate_index(&*index);
             }
             std::size_t site = 0;

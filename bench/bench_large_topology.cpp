@@ -66,9 +66,10 @@ void BM_LoadAwareDeltaCandidate500(benchmark::State& state) {
 }
 BENCHMARK(BM_LoadAwareDeltaCandidate500)->Unit(benchmark::kMicrosecond);
 
-// Same shape for the §6 closest-strategy objective: the quorum-choice
-// tables answer the candidate, repricing only flipped choices — but
-// scanning all 500 clients per candidate (the pre-index hotspot).
+// Same shape for the §6 closest-strategy objective with no client index
+// attached: the quorum-choice tables answer the candidate, repricing only
+// the clients whose inputs changed — but classifying all 500 clients per
+// candidate.
 void BM_ClosestDeltaCandidate500(benchmark::State& state) {
   const sim::Scenario& scenario = synth500();
   const quorum::GridQuorum grid{7};
@@ -86,12 +87,12 @@ void BM_ClosestDeltaCandidate500(benchmark::State& state) {
 }
 BENCHMARK(BM_ClosestDeltaCandidate500)->Unit(benchmark::kMicrosecond);
 
-// The fix: route the candidate through the site->clients index, touching
-// only the clients the move can affect. cap=0 is the exact parity mode —
-// its covering lists are nearly dense while the placement is still poor
-// (coverage radius = the quorum cost m1), so it exists for correctness, not
-// speed; cap=64 is the capped production configuration the 10k-50k search
-// runs (approximate ranking, exact applies).
+// The same routine through the site->clients index, touching only the
+// clients the move can affect. cap=0 is the exact mode local search runs on
+// dense matrices — its covering lists are nearly dense while the placement
+// is still poor (coverage radius = the quorum cost m1); cap=64 is the
+// capped production configuration the 10k-50k search runs (approximate
+// ranking, exact applies).
 void BM_ClosestDeltaCandidate500Indexed(benchmark::State& state) {
   const sim::Scenario& scenario = synth500();
   const quorum::GridQuorum grid{7};
@@ -100,10 +101,8 @@ void BM_ClosestDeltaCandidate500Indexed(benchmark::State& state) {
       core::best_grid_placement(scenario.matrix, 7).placement;
   core::DeltaEvaluator eval{scenario.matrix, grid, placement, objective};
   const net::KnnIndex knn{scenario.matrix};
-  core::ClientCandidateIndex::Config config;
-  config.cap = static_cast<std::size_t>(state.range(0));
   const core::ClientCandidateIndex index = core::ClientCandidateIndex::build(
-      scenario.matrix, &knn, eval.best_values(), config);
+      scenario.matrix, &knn, eval.best_values(), static_cast<std::size_t>(state.range(0)));
   eval.attach_candidate_index(&index);
   std::size_t site = 0;
   std::size_t element = 0;

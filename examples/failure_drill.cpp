@@ -1,6 +1,7 @@
 // Failure drill: inject server outages into the closed-loop simulation and
-// watch the quorum system route around them — the fault-tolerance argument
-// for quorums over the singleton (§6's closing point), made concrete.
+// watch the quorum system route around them once a failure detector steers
+// its retries — the fault-tolerance argument for quorums over the singleton
+// (§6's closing point), made concrete.
 //
 //   ./failure_drill [t]
 #include <cstdlib>
@@ -65,6 +66,13 @@ int main(int argc, char** argv) {
   report("t servers down (4 s)",
          sim::run_engine_closed_loop(matrix, system, placed.placement, clients, config));
 
+  // The same outage with a perfect failure detector: every attempt takes the
+  // nearest quorum of servers that are up right now.
+  config.failover = sim::FailoverMode::Oracle;
+  report("t down, oracle failover",
+         sim::run_engine_closed_loop(matrix, system, placed.placement, clients, config));
+  config.failover = sim::FailoverMode::None;
+
   // Kill t+1 servers: only t of the 2t+1 survive, fewer than the quorum size
   // t+1, so no quorum can form and requests issued in the outage stall
   // until recovery.
@@ -84,9 +92,15 @@ int main(int argc, char** argv) {
   report("singleton, its node down",
          sim::run_engine_closed_loop(matrix, singleton, median, single_clients, config));
 
-  std::cout << "\nReading: with <= t failures the majority quorum system keeps its\n"
-               "throughput (retries route around dead servers); the singleton loses\n"
-               "the full outage window. That resilience is what the paper's Figure 6.3\n"
-               "prices: a few ms of extra response time at small universe sizes.\n";
+  std::cout << "\nReading: with t servers down, blind uniform retries keep drawing\n"
+               "quorums through dead servers: only one of the quorums avoids all t of\n"
+               "them (for t = 1, 2 draws in 3 hit the dead server and a request burns\n"
+               "about two 500 ms timeouts), so the majority completes about as few\n"
+               "requests as the singleton with its only node down. With a failure\n"
+               "detector (oracle failover) every attempt avoids the dead servers and\n"
+               "the majority keeps nearly its healthy throughput; the singleton has no\n"
+               "live quorum to fail over to. That resilience is what the paper's\n"
+               "Figure 6.3 prices: a few ms of extra response time at small universe\n"
+               "sizes.\n";
   return 0;
 }

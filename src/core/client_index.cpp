@@ -9,13 +9,10 @@ namespace qp::core {
 ClientCandidateIndex ClientCandidateIndex::build(const net::LatencySpace& space,
                                                  const net::KnnIndex* knn,
                                                  std::span<const double> radius,
-                                                 const Config& config) {
+                                                 std::size_t cap) {
   const std::size_t n = space.size();
   if (!radius.empty() && radius.size() != n) {
     throw std::invalid_argument{"ClientCandidateIndex: radius count != site count"};
-  }
-  if (!(config.margin >= 1.0)) {
-    throw std::invalid_argument{"ClientCandidateIndex: margin must be >= 1"};
   }
   std::optional<net::KnnIndex> local;
   if (knn == nullptr) {
@@ -32,22 +29,22 @@ ClientCandidateIndex ClientCandidateIndex::build(const net::LatencySpace& space,
   }
 
   ClientCandidateIndex out;
-  out.capped_ = config.cap > 0;
+  out.capped_ = cap > 0;
   out.radius_.resize(n);
   out.offsets_.assign(n + 1, 0);
   std::vector<net::KnnIndex::Neighbor> buf;
   for (std::size_t v = 0; v < n; ++v) {
     if (out.capped_) {
-      knn->nearest(v, config.cap, buf);
+      knn->nearest(v, cap, buf);
       out.radius_[v] = buf.empty() ? 0.0 : buf.back().rtt_ms;
     } else {
-      const double cover = (radius.empty() ? 0.0 : radius[v]) * config.margin;
+      const double cover = (radius.empty() ? 0.0 : radius[v]) * kMargin;
       knn->within(v, cover, buf);
-      if (buf.size() < std::min(config.min_sites, n)) {
+      if (buf.size() < std::min(kMinSites, n)) {
         // The min-size floor subsumes the radius query: fewer than
-        // min_sites sites lie within `cover`, so the min_sites nearest
+        // kMinSites sites lie within `cover`, so the kMinSites nearest
         // contain all of them.
-        knn->nearest(v, config.min_sites, buf);
+        knn->nearest(v, kMinSites, buf);
       }
       out.radius_[v] = cover;
     }

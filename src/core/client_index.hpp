@@ -5,26 +5,27 @@
 // change client v's quorum *choice* if
 //   * v currently charges u's site (u might leave v's chosen quorum), or
 //   * d(v, b) <= m1(v), the chosen quorum's network value (b might enter).
-// The first set comes from the evaluator's charge index (rebuilt per
+// The first set comes from the evaluator's charge lists (repaired per
 // accepted move); the second is exactly "the clients whose candidate list
 // contains b" — provided each client's list covers every site within its
 // m1. This index stores those lists (CSR, ascending site id) and their
 // inversion (CSR, ascending client id), so DeltaEvaluator can enumerate the
-// affected clients of a candidate in output-sensitive time instead of
-// scanning all n clients.
+// affected clients of a candidate in output-sensitive time. An evaluator
+// with no index attached classifies all n clients per candidate.
 //
 // Two modes:
-//  * Uncapped (cap == 0): each list covers radius[v] * margin (at least
-//    min_sites). Combined with the evaluator's overflow tracking (clients
-//    whose m1 outgrows their covered radius are always checked), candidate
-//    evaluation is EXACT — the sparse path returns the same answer as the
-//    full scan up to FP summation order. This is the parity mode used on
-//    every n <= 500 config.
+//  * Uncapped (cap == 0): each list covers radius[v] * kMargin (at least
+//    kMinSites sites). Combined with the evaluator's overflow tracking
+//    (clients whose m1 outgrows their covered radius are always checked),
+//    candidate evaluation is EXACT — the indexed path returns what the same
+//    routine over every client returns, up to FP summation order. Local
+//    search uses it on every dense matrix.
 //  * Capped (cap > 0): each list is the cap nearest sites. Coverage of m1
 //    is no longer guaranteed, so candidate *ranking* becomes approximate
-//    (a flip triggered by a site outside every list can be missed);
-//    apply_move stays exact, so the search trajectory remains a genuine
-//    improving sequence. This bounds memory at O(n * cap) for the 10k-50k
+//    (a flip triggered by a site outside every list can be missed), and a
+//    move ranked as improving can raise the true objective. apply_move
+//    stays exact, so the objective the evaluator reports after a move is
+//    the true one. This bounds memory at O(n * cap) for the 10k-50k
 //    regime.
 //
 // Lists are static after build; the evaluator re-checks coverage against
@@ -42,28 +43,24 @@ namespace qp::core {
 
 class ClientCandidateIndex {
  public:
-  struct Config {
-    /// 0 = uncapped (exact coverage of radius * margin); > 0 caps each list
-    /// at that many nearest sites (approximate, bounded memory).
-    std::size_t cap = 0;
-    /// Uncapped coverage slack: lists cover radius[v] * margin, so m1 can
-    /// grow this much across moves before the client falls into the
-    /// always-checked overflow set. Must be >= 1.
-    double margin = 1.25;
-    /// Uncapped lists never hold fewer than this many sites (when n allows).
-    std::size_t min_sites = 8;
-  };
+  /// Uncapped coverage slack: lists cover radius[v] * kMargin, so m1 can
+  /// grow this much across moves before the client falls into the
+  /// always-checked overflow set.
+  static constexpr double kMargin = 1.25;
+  /// Uncapped lists never hold fewer than this many sites (when n allows).
+  static constexpr std::size_t kMinSites = 8;
 
-  /// Builds lists for every site-as-client of `space`. `radius` is the
-  /// per-client coverage target (typically the evaluator's current m1
-  /// values); empty means 0 (min_sites-only lists). `knn` accelerates the
+  /// Builds lists for every site-as-client of `space`: uncapped (`cap` ==
+  /// 0) or the `cap` nearest sites. `radius` is the per-client coverage
+  /// target of the uncapped mode (typically the evaluator's current m1
+  /// values); empty means 0 (kMinSites-only lists). `knn` accelerates the
   /// list queries and is required when `space.as_matrix()` is null;
   /// otherwise a brute-force dense scan is used. Throws
-  /// std::invalid_argument on a bad config or missing backend.
+  /// std::invalid_argument on a size mismatch or missing backend.
   [[nodiscard]] static ClientCandidateIndex build(const net::LatencySpace& space,
                                                   const net::KnnIndex* knn,
                                                   std::span<const double> radius,
-                                                  const Config& config);
+                                                  std::size_t cap);
 
   [[nodiscard]] std::size_t size() const noexcept { return radius_.size(); }
   [[nodiscard]] bool capped() const noexcept { return capped_; }

@@ -26,8 +26,6 @@ const obs::Counter c_de_candidates = obs::counter("core.delta_eval.candidates");
 const obs::Counter c_de_fast = obs::counter("core.delta_eval.fast_path");
 const obs::Counter c_de_general =
     obs::counter("core.delta_eval.general_fallbacks");
-const obs::Counter c_de_closest_full =
-    obs::counter("core.delta_eval.closest_full_scans");
 const obs::Counter c_de_closest_indexed =
     obs::counter("core.delta_eval.closest_indexed_scans");
 const obs::Counter c_de_pruned =
@@ -513,10 +511,7 @@ double DeltaEvaluator::objective_if_moved(std::size_t element, std::size_t site)
   const std::size_t old_site = placement_.site_of[element];
   if (site == old_site) return objective();
   c_de_candidates.add();
-  if (closest_) {
-    return candidate_index_ != nullptr ? closest_if_moved_indexed(element, site)
-                                       : closest_if_moved(element, site);
-  }
+  if (closest_) return closest_if_moved_indexed(element, site, candidate_index_ == nullptr);
   // Per-coordinate additive load terms of the candidate values. The cached
   // tables answer single-coordinate moves only; a load-aware move touching a
   // co-hosted site perturbs other coordinates too and takes the general path.
@@ -630,6 +625,7 @@ void DeltaEvaluator::majority_chosen_patched(std::size_t v, std::size_t element,
     if (x < t) ++less;
   }
   std::size_t quota = majority_q_ - less;
+  [[maybe_unused]] const std::size_t begin = out.size();
   for (std::size_t u = 0; u < n_; ++u) {
     const double x = u == element ? patched : vals[u];
     if (x < t) {
@@ -639,6 +635,20 @@ void DeltaEvaluator::majority_chosen_patched(std::size_t v, std::size_t element,
       --quota;
     }
   }
+#if QP_PARITY_AUDIT_ENABLED
+  const quorum::Quorum best = best_quorum_patched(v, element, patched);
+  QP_CHECK(std::equal(out.begin() + static_cast<std::ptrdiff_t>(begin), out.end(),
+                      best.begin(), best.end()),
+           "majority_chosen_patched: the re-chosen quorum is not best_quorum's");
+#endif
+}
+
+quorum::Quorum DeltaEvaluator::best_quorum_patched(std::size_t v, std::size_t element,
+                                                   double d) const {
+  std::vector<double> row(values_.begin() + static_cast<std::ptrdiff_t>(v * n_),
+                          values_.begin() + static_cast<std::ptrdiff_t>((v + 1) * n_));
+  row[element] = d;
+  return system_->best_quorum(row);
 }
 
 void DeltaEvaluator::rebuild_closest() {
@@ -755,23 +765,24 @@ void DeltaEvaluator::rebuild_closest() {
       }
     }
   }
-  rebuild_closest_loads_and_rho();
-}
-
-void DeltaEvaluator::rebuild_closest_loads_and_rho() {
-  closest_load_.assign(clients_, 0.0);
+  // Site -> charging clients from the chosen quorums, filled in ascending
+  // client order: each site's list is sorted, with one entry per charging
+  // element, and is exactly the order reaccumulate_closest_dirty re-sums a
+  // site's load in — so a rebuilt and a repaired evaluator agree bitwise.
+  charge_lists_.assign(clients_, {});
   for (std::size_t v = 0; v < clients_; ++v) {
-    const double w = charge_weight(v);
-    for (std::size_t e : chosen_quorum_[v]) {
-      closest_load_[placement_.site_of[e]] += w;
-    }
+    for (std::size_t e : chosen_quorum_[v]) charge_lists_[placement_.site_of[e]].push_back(v);
+  }
+  closest_load_.assign(clients_, 0.0);
+  for (std::size_t s = 0; s < clients_; ++s) {
+    for (std::size_t v : charge_lists_[s]) closest_load_[s] += charge_weight(v);
   }
   base_total_ = 0.0;
   for (std::size_t v = 0; v < clients_; ++v) {
     price_closest_client(v);
     base_total_ += (client_weight_.empty() ? 1.0 : client_weight_[v]) * client_sum_[v];
   }
-  if (candidate_index_ != nullptr) rebuild_charge_index();
+  refresh_candidate_tables();
 }
 
 void DeltaEvaluator::price_closest_client(std::size_t v) {
@@ -808,147 +819,15 @@ void DeltaEvaluator::price_closest_client(std::size_t v) {
   price_cert_[v] = cert;
 }
 
-double DeltaEvaluator::closest_if_moved(std::size_t element, std::size_t site) const {
-  static thread_local std::vector<double> tl_load;
-  static thread_local std::vector<std::uint8_t> tl_state;
-  static thread_local std::vector<std::size_t> tl_off;
-  static thread_local std::vector<std::size_t> tl_len;
-  static thread_local std::vector<std::size_t> tl_chosen;
-  static thread_local std::vector<double> tl_row;
-
-  const std::size_t old_site = placement_.site_of[element];
-  const bool load = alpha_ != 0.0;
-  if (load) tl_load.assign(closest_load_.begin(), closest_load_.end());
-  tl_state.assign(clients_, 0);
-  tl_off.resize(clients_);
-  tl_len.resize(clients_);
-  tl_chosen.clear();
-
-  const std::size_t k = side_;
-  const std::size_t r0 = mode_ == Mode::ClosestGrid ? element / k : 0;
-  const std::size_t c0 = mode_ == Mode::ClosestGrid ? element % k : 0;
-
-  c_de_closest_full.add();
-  std::size_t n_kept = 0;
-  std::size_t n_recomputed = 0;
-  // Pass 1: classify every client's quorum choice (keep / keep-with-moved-u
-  // / recompute) and accumulate the load deltas of the flips.
-  for (std::size_t v = 0; v < clients_; ++v) {
-    const double d_new = site_rtt(v, site);
-    const bool contains_u = mode_ == Mode::ClosestGrid
-                                ? (chosen_row_[v] == r0 || chosen_col_[v] == c0)
-                                : in_best_[v * n_ + element] != 0;
-    if (!contains_u && d_new > best_value_[v]) continue;  // Provably unchanged.
-    if (mode_ == Mode::ClosestMajority && contains_u &&
-        (majority_q_ == n_ || d_new < second_value_[v])) {
-      // u keeps its slot: the chosen set is unchanged, only u's charge moves.
-      tl_state[v] = 1;
-      ++n_kept;
-      if (load) {
-        const double w = charge_weight(v);
-        tl_load[old_site] -= w;
-        tl_load[site] += w;
-      }
-      continue;
-    }
-    tl_state[v] = 2;
-    ++n_recomputed;
-    tl_off[v] = tl_chosen.size();
-    switch (mode_) {
-      case Mode::ClosestMajority:
-        majority_chosen_patched(v, element, d_new, tl_chosen);
-        break;
-      case Mode::ClosestGrid: {
-        const double* rm = row_max_.data() + v * k;
-        const double* cm = col_max_.data() + v * k;
-        const double nr = std::max(row_excl_[v * n_ + element], d_new);
-        const double nc = std::max(col_excl_[v * n_ + element], d_new);
-        std::size_t best = 0;
-        double best_max = std::numeric_limits<double>::infinity();
-        for (std::size_t r = 0; r < k; ++r) {
-          const double rr = r == r0 ? nr : rm[r];
-          for (std::size_t c = 0; c < k; ++c) {
-            const double val = std::max(rr, c == c0 ? nc : cm[c]);
-            if (val < best_max) {
-              best_max = val;
-              best = r * k + c;
-            }
-          }
-        }
-        for_each_grid_element(k, best / k, best % k,
-                              [&](std::size_t e) { tl_chosen.push_back(e); });
-        break;
-      }
-      default: {  // ClosestEnumerated: Tree's DP tie-breaking is its own.
-        const double* vals = values_.data() + v * n_;
-        tl_row.assign(vals, vals + n_);
-        tl_row[element] = d_new;
-        const quorum::Quorum quorum = system_->best_quorum(tl_row);
-        tl_chosen.insert(tl_chosen.end(), quorum.begin(), quorum.end());
-        break;
-      }
-    }
-    tl_len[v] = tl_chosen.size() - tl_off[v];
-    if (load) {
-      const double w = charge_weight(v);
-      for (std::size_t e : chosen_quorum_[v]) tl_load[placement_.site_of[e]] -= w;
-      for (std::size_t i = tl_off[v]; i < tl_chosen.size(); ++i) {
-        const std::size_t e = tl_chosen[i];
-        tl_load[e == element ? site : placement_.site_of[e]] += w;
-      }
-    }
-  }
-  c_de_pruned.add(clients_ - n_kept - n_recomputed);
-  c_de_kept.add(n_kept);
-  c_de_recomputed.add(n_recomputed);
-
-  // Pass 2: reprice every client's chosen quorum under the candidate loads.
-  double total = 0.0;
-  for (std::size_t v = 0; v < clients_; ++v) {
-    double response;
-    if (tl_state[v] == 0 && !load) {
-      response = client_sum_[v];  // Neither distances nor loads changed.
-    } else {
-      const double d_new = site_rtt(v, site);
-      const double* vals = values_.data() + v * n_;
-      const std::size_t* ids;
-      std::size_t len;
-      if (tl_state[v] == 2) {
-        ids = tl_chosen.data() + tl_off[v];
-        len = tl_len[v];
-      } else {
-        ids = chosen_quorum_[v].data();
-        len = chosen_quorum_[v].size();
-      }
-      double worst = 0.0;
-      for (std::size_t i = 0; i < len; ++i) {
-        const std::size_t e = ids[i];
-        const bool moved = e == element;
-        const double d = moved ? d_new : vals[e];
-        if (load) {
-          const std::size_t s = moved ? site : placement_.site_of[e];
-          worst = std::max(worst, d + alpha_ * tl_load[s]);
-        } else {
-          worst = std::max(worst, d);
-        }
-      }
-      response = worst;
-    }
-    total += (client_weight_.empty() ? 1.0 : client_weight_[v]) * response;
-  }
-  return client_weight_.empty() ? total / static_cast<double>(clients_) : total;
-}
-
 void DeltaEvaluator::apply_move_closest(std::size_t element, std::size_t site) {
   const double inf = std::numeric_limits<double>::infinity();
   const std::size_t k = side_;
   const std::size_t r0 = mode_ == Mode::ClosestGrid ? element / k : 0;
   const std::size_t c0 = mode_ == Mode::ClosestGrid ? element % k : 0;
   std::vector<std::size_t> scratch_ids;
-  // With charge lists maintained, record the clients whose charge set moves
-  // (flipped choice, or chosen quorum contains the moved element) so the
-  // reaccumulation below can stay bounded instead of O(clients x |Q|).
-  const bool incremental = candidate_index_ != nullptr;
+  // Record the clients whose charge set moves (flipped choice, or chosen
+  // quorum contains the moved element) so the reaccumulation below stays
+  // bounded instead of O(clients x |Q|).
   std::vector<std::size_t> touched_clients;
   std::vector<std::pair<std::size_t, std::size_t>> new_charges;  // (site, v).
   std::vector<std::size_t> affected_sites;
@@ -964,20 +843,21 @@ void DeltaEvaluator::apply_move_closest(std::size_t element, std::size_t site) {
         mode_ == Mode::ClosestMajority && contains_u &&
         (majority_q_ == n_ || d_new < second_value_[v]);
     const bool flip = !keep && !keep_moved;
-    const bool touched = incremental && (flip || contains_u);
-    if (touched) {
+    if (flip || contains_u) {
       // Old charges, under the pre-move placement and pre-repair choice.
       touched_clients.push_back(v);
       for (std::size_t e : chosen_quorum_[v]) {
         affected_sites.push_back(placement_.site_of[e]);
       }
     }
-    // Identity recompute needs the pre-repair tables for Majority (the
-    // patched-rank shortcut reads the old sorted row); Grid and Enumerated
-    // rescan the repaired tables below.
+    // The re-choice reads the pre-repair tables with the moved element
+    // patched — the same routines the candidate evaluation runs.
+    std::size_t cell = 0;
     if (flip && mode_ == Mode::ClosestMajority) {
       scratch_ids.clear();
       majority_chosen_patched(v, element, d_new, scratch_ids);
+    } else if (flip && mode_ == Mode::ClosestGrid) {
+      cell = grid_argmin_patched(v, element, d_new);
     }
     vals[element] = d_new;
     switch (mode_) {
@@ -1003,23 +883,11 @@ void DeltaEvaluator::apply_move_closest(std::size_t element, std::size_t site) {
       }
       case Mode::ClosestGrid: {
         repair_grid_client_tables(v, r0, c0);
-        const double* rm = row_max_.data() + v * k;
-        const double* cm = col_max_.data() + v * k;
         if (flip) {
-          std::size_t best = 0;
-          double best_max = inf;
-          for (std::size_t r = 0; r < k; ++r) {
-            for (std::size_t c = 0; c < k; ++c) {
-              const double val = std::max(rm[r], cm[c]);
-              if (val < best_max) {
-                best_max = val;
-                best = r * k + c;
-              }
-            }
-          }
-          chosen_row_[v] = best / k;
-          chosen_col_[v] = best % k;
-          best_value_[v] = best_max;
+          chosen_row_[v] = cell / k;
+          chosen_col_[v] = cell % k;
+          best_value_[v] =
+              std::max(row_max_[v * k + chosen_row_[v]], col_max_[v * k + chosen_col_[v]]);
           quorum::Quorum& chosen = chosen_quorum_[v];
           chosen.clear();
           for_each_grid_element(k, chosen_row_[v], chosen_col_[v],
@@ -1039,7 +907,7 @@ void DeltaEvaluator::apply_move_closest(std::size_t element, std::size_t site) {
         break;
       }
     }
-    if (touched) {
+    if (flip || contains_u) {
       // New charges, under the post-move placement and repaired choice.
       for (std::size_t e : chosen_quorum_[v]) {
         const std::size_t s = e == element ? site : placement_.site_of[e];
@@ -1051,60 +919,38 @@ void DeltaEvaluator::apply_move_closest(std::size_t element, std::size_t site) {
   --hosted_count_[placement_.site_of[element]];
   ++hosted_count_[site];
   placement_.site_of[element] = site;
-  if (incremental) {
-    reaccumulate_closest_dirty(touched_clients, new_charges, affected_sites);
-  } else {
-    rebuild_closest_loads_and_rho();
-  }
+  reaccumulate_closest_dirty(touched_clients, new_charges, affected_sites);
 }
 
 void DeltaEvaluator::attach_candidate_index(const ClientCandidateIndex* index) {
-  if (index == nullptr) {
-    candidate_index_ = nullptr;
-    charge_lists_.clear();
-    overflow_clients_.clear();
-    keep_offset_.clear();
-    keep_interval_.clear();
-    return;
-  }
-  if (!closest_) {
+  if (index != nullptr && !closest_) {
     throw std::invalid_argument{
         "DeltaEvaluator: candidate indexes apply to closest-strategy objectives only"};
   }
-  if (index->size() != clients_) {
+  if (index != nullptr && index->size() != clients_) {
     throw std::invalid_argument{"DeltaEvaluator: candidate index size != site count"};
   }
+  // The charge lists and keep intervals do not depend on the index; only
+  // the coverage-overflow set does.
   candidate_index_ = index;
-  rebuild_charge_index();
+  refresh_overflow_clients();
 }
 
-void DeltaEvaluator::rebuild_charge_index() {
-  // Site -> charging clients from the current chosen quorums, filled in
-  // ascending client order (so each site's charger list is sorted, with one
-  // entry per charging element, and the enumeration order is deterministic).
-  charge_lists_.assign(clients_, {});
-  for (std::size_t v = 0; v < clients_; ++v) {
-    for (std::size_t e : chosen_quorum_[v]) {
-      charge_lists_[placement_.site_of[e]].push_back(v);
-    }
-  }
-  refresh_candidate_tables();
-}
-
-void DeltaEvaluator::refresh_candidate_tables() {
+void DeltaEvaluator::refresh_overflow_clients() {
   // Clients whose m1 outgrew their list's covered radius fall back to being
   // classified on every candidate — that keeps uncapped evaluation exact as
   // the placement drifts away from the radii the lists were built with.
   // Capped indexes are openly approximate and skip the fallback (every
-  // far client would overflow, degenerating to the full scan).
+  // far client would overflow, degenerating to the index-free scan).
   overflow_clients_.clear();
-  if (!candidate_index_->capped()) {
-    for (std::size_t v = 0; v < clients_; ++v) {
-      if (best_value_[v] > candidate_index_->covered_radius(v)) {
-        overflow_clients_.push_back(v);
-      }
-    }
+  if (candidate_index_ == nullptr || candidate_index_->capped()) return;
+  for (std::size_t v = 0; v < clients_; ++v) {
+    if (best_value_[v] > candidate_index_->covered_radius(v)) overflow_clients_.push_back(v);
   }
+}
+
+void DeltaEvaluator::refresh_candidate_tables() {
+  refresh_overflow_clients();
   if (mode_ != Mode::ClosestGrid) return;
   // Every entry's interval depends on the client's whole distance row, and
   // a move changes one coordinate of every row — so all entries refresh,
@@ -1147,7 +993,7 @@ std::size_t DeltaEvaluator::grid_argmin_patched(std::size_t v, std::size_t eleme
   // first cell (row-major) attaining the global minimum — the first row
   // whose minimum attains it, then the first column attaining it within
   // that row. Pure selection (no arithmetic), so the winner is bitwise the
-  // k*k scan's (closest_if_moved, apply_move_closest).
+  // k*k scan's (GridQuorum::best_quorum, audited at level 2).
   const double inf = std::numeric_limits<double>::infinity();
   const std::size_t k = side_;
   const std::size_t r0 = element / k;
@@ -1168,10 +1014,25 @@ std::size_t DeltaEvaluator::grid_argmin_patched(std::size_t v, std::size_t eleme
     }
   }
   const double rr = best_r == r0 ? nr : rm[best_r];
+  std::size_t best_c = 0;
   for (std::size_t c = 0; c < k; ++c) {
-    if (std::max(rr, c == c0 ? nc : cm[c]) == best_max) return best_r * k + c;
+    if (std::max(rr, c == c0 ? nc : cm[c]) == best_max) {
+      best_c = c;
+      break;
+    }
   }
-  return best_r * k;
+#if QP_PARITY_AUDIT_ENABLED
+  // A cell other than the client's current one is a re-choice: check it
+  // against the definition. (Checking every call, including the far more
+  // frequent "same cell" answers, would cost more than the search.)
+  if (best_r != chosen_row_[v] || best_c != chosen_col_[v]) {
+    quorum::Quorum chosen;
+    for_each_grid_element(k, best_r, best_c, [&](std::size_t e) { chosen.push_back(e); });
+    QP_CHECK(chosen == best_quorum_patched(v, element, d),
+             "grid_argmin_patched: the re-chosen cell is not best_quorum's");
+  }
+#endif
+  return best_r * k + best_c;
 }
 
 void DeltaEvaluator::grid_keep_intervals(std::size_t v, KeepInterval* out) const {
@@ -1293,7 +1154,7 @@ void DeltaEvaluator::reaccumulate_closest_dirty(
   // list, merge their new entries in, and re-sum the weighted load over the
   // merged list. The list is ascending with per-element multiplicity, which
   // is exactly the order the full reaccumulation adds the same weights in —
-  // the per-site sums are bitwise identical to rebuild_closest_loads_and_rho.
+  // the per-site sums are bitwise identical to rebuild_closest's.
   std::vector<std::size_t> merged;
   std::size_t cursor = 0;
   for (std::size_t s : affected_sites) {
@@ -1340,8 +1201,8 @@ void DeltaEvaluator::reaccumulate_closest_dirty(
   refresh_candidate_tables();
 }
 
-double DeltaEvaluator::closest_if_moved_indexed(std::size_t element,
-                                                std::size_t site) const {
+double DeltaEvaluator::closest_if_moved_indexed(std::size_t element, std::size_t site,
+                                                bool every_client) const {
   // Epoch-marked sparse scratch: per-candidate state is only written for the
   // clients/sites actually touched, so a candidate costs output-sensitive
   // time — never an O(n) clear. Thread-local for the parallel scan.
@@ -1406,8 +1267,7 @@ double DeltaEvaluator::closest_if_moved_indexed(std::size_t element,
     }
   };
 
-  // Classification is the same keep / keep-with-moved-u / recompute logic as
-  // the full scan (closest_if_moved), applied only to clients that can flip.
+  // Classifies client v as unchanged, kept (u keeps its slot) or re-chosen.
   // `keep` is the Grid keep interval of a charger of the moved element.
   const auto classify = [&](std::size_t v, const KeepInterval* keep) {
     ClientScratch& cs = sc.client[v];
@@ -1488,8 +1348,9 @@ double DeltaEvaluator::closest_if_moved_indexed(std::size_t element,
   // A flip needs u to leave (the client charges u's current site) or the
   // new site to undercut m1 (the client's candidate list contains it, or
   // the client overflowed its list) — see client_index.hpp for why this is
-  // exhaustive in the uncapped mode.
-  // Keep intervals describe the element at a singly-hosted site only.
+  // exhaustive in the uncapped mode. Without an index every client is
+  // classified. Keep intervals describe the element at a singly-hosted site
+  // only.
   const std::vector<std::size_t>& chargers = charge_lists_[old_site];
   const KeepInterval* keep = mode_ == Mode::ClosestGrid && hosted_count_[old_site] == 1
                                  ? keep_interval_.data() + keep_offset_[old_site]
@@ -1497,8 +1358,12 @@ double DeltaEvaluator::closest_if_moved_indexed(std::size_t element,
   for (std::size_t i = 0; i < chargers.size(); ++i) {
     classify(chargers[i], keep != nullptr ? keep + i : nullptr);
   }
-  for (std::size_t v : candidate_index_->clients_of(site)) classify(v, nullptr);
-  for (std::size_t v : overflow_clients_) classify(v, nullptr);
+  if (every_client) {
+    for (std::size_t v = 0; v < clients_; ++v) classify(v, nullptr);
+  } else {
+    for (std::size_t v : candidate_index_->clients_of(site)) classify(v, nullptr);
+    for (std::size_t v : overflow_clients_) classify(v, nullptr);
+  }
   c_de_pruned.add(n_scanned - n_kept - n_recomputed);
   c_de_kept.add(n_kept);
   c_de_recomputed.add(n_recomputed);
@@ -1583,12 +1448,12 @@ double DeltaEvaluator::closest_if_moved_indexed(std::size_t element,
   const double result =
       client_weight_.empty() ? total / static_cast<double>(clients_) : total;
 #if QP_PARITY_AUDIT_ENABLED
-  // Uncapped indexes promise exactness: audit every candidate against the
-  // retained full scan (capped indexes are openly approximate).
-  if (!candidate_index_->capped()) {
-    QP_PARITY_ASSERT(result, closest_if_moved(element, site), 1e-9,
-                     "closest_if_moved_indexed: sparse candidate evaluation diverged "
-                     "from the full client scan");
+  // Uncapped indexes promise exactness: the same routine over every client
+  // must agree (capped indexes are openly approximate).
+  if (!every_client && !candidate_index_->capped()) {
+    QP_PARITY_ASSERT(result, closest_if_moved_indexed(element, site, true), 1e-9,
+                     "closest_if_moved_indexed: the index pruned a client whose "
+                     "response changes");
   }
 #endif
   return result;
@@ -1633,9 +1498,7 @@ void DeltaEvaluator::apply_move(std::size_t element, std::size_t site) {
   // Parity against the naive objective: the repaired base must match a full
   // re-evaluation (summation order differs, hence the tolerance). Armed at
   // QP_CHECK_LEVEL=2 (the asan preset), not by build type. The canonical
-  // evaluator needs the dense table, so implicit spaces skip this audit
-  // (their candidate evaluation is audited against the full scan instead,
-  // see closest_if_moved_indexed).
+  // evaluator needs the dense table, so implicit spaces skip this audit.
   if (matrix_ != nullptr) {
     const double naive = objective_->evaluate(*matrix_, *system_, placement_);
     QP_PARITY_ASSERT(objective(), naive, 1e-9,

@@ -38,40 +38,42 @@
 // per-client cost couples globally through the load the quorum choices
 // induce, so the evaluator maintains an incremental quorum-choice structure:
 // the per-client chosen quorum (identity + its best network value m1, plus
-// the second-best value for Majority) with lazy repair on site moves. A
-// candidate move classifies every client in O(1):
+// the second-best value for Majority), the site -> charging-clients lists
+// and, for Grid, a keep interval per charge-list entry. One routine answers
+// every closest candidate; it classifies each client it visits in O(1) or
+// O(k):
 //   * u not in the chosen quorum and d(v, w) strictly above m1 — the choice
 //     provably cannot flip (any quorum containing u is now strictly worse
 //     than the unchanged best), regardless of tie-breaking;
+//   * Grid charger of u with d(v, w) inside its keep interval [lo, hi] —
+//     v's chosen cell stays the first-wins row-major argmin (one d(v, w) and
+//     two compares);
 //   * Majority only: u chosen and d(v, w) strictly below the second-best
 //     value y[q] — u keeps its slot and the chosen set is unchanged;
 //   * otherwise the choice is recomputed exactly — replicating each
 //     system's best_quorum tie-breaking (Majority (value, index) selection,
-//     Grid flattened argmin) from the cached tables, or calling best_quorum
-//     itself for enumerated systems (Tree's DP tie-breaking is not scan
-//     order) — so colocated placements (which tie constantly) stay in exact
-//     parity with the naive closest evaluation.
+//     Grid first-wins argmin in O(k)) from the cached tables, or calling
+//     best_quorum itself for enumerated systems (Tree's DP tie-breaking is
+//     not scan order) — so colocated placements (which tie constantly) stay
+//     in exact parity with the naive closest evaluation. At QP_CHECK_LEVEL
+//     >= 2 every replicated choice that changes a client's quorum is
+//     checked against best_quorum on the patched row.
 // The candidate load table is the maintained one patched by the (few)
-// flipped choices; the response pass then reprices the clients whose
-// inputs changed (the full scan reprices all of them) in O(|Q|) each.
-// apply_move repairs the distance rows (one coordinate per client), the
-// per-client sorted/maxima tables, and the quorum-choice tables in place —
-// no full rebuild — then reaccumulates loads and responses from the
-// repaired tables so floating-point drift cannot compound across moves.
+// flipped choices; only clients whose inputs changed are repriced, each
+// from a three-term certificate when the rest of its terms provably stay
+// below them (else by the O(|Q|) loop).
 //
-// With a ClientCandidateIndex attached, a candidate costs time in
-// proportion to the clients whose price can change:
-//   * Grid keep intervals: for every charge-list entry (client v charging
-//     the element at site s) a closed interval [lo, hi] of new distances
-//     over which v's chosen cell stays the first-wins row-major argmin, so
-//     a charger of the moved element is kept after one d(v, w) and two
-//     compares; only chargers outside their interval pay the O(k) argmin.
-//   * Certified reprice: each client's priced terms are summarized by the
-//     elements of the top two and the third-largest value, so a client
-//     whose choice did not flip is repriced from at most three terms when
-//     the rest provably stay below them (else by the O(|Q|) loop).
-// Both shortcuts return bitwise what the per-client loops they replace
-// return, and are audited against them at QP_CHECK_LEVEL >= 2.
+// Which clients are visited: with no ClientCandidateIndex attached, every
+// client. With one attached, only those whose choice can flip — the
+// chargers of the moved element's site, the index's clients of the new site
+// and the clients whose m1 outgrew their list (see client_index.hpp), so a
+// candidate costs time in proportion to the clients it can affect.
+//
+// apply_move repairs the distance rows (one coordinate per client), the
+// per-client sorted/maxima tables, the quorum-choice tables and the charge
+// lists in place — no full rebuild — then re-sums only the sites whose
+// charging multiset changed and reprices only the clients whose inputs
+// changed, bitwise equal to a fresh evaluator of the moved placement.
 //
 // All modes return values within ~1e-12 of Objective::evaluate (summation
 // order differs, so bit-identity is not guaranteed), and apply_move audits
@@ -139,15 +141,15 @@ class DeltaEvaluator {
   }
 
   /// Routes closest-strategy candidate evaluation through `index` (null
-  /// detaches): objective_if_moved then touches only the clients that can
-  /// flip (charge index of the old site + inverted lists of the new site +
-  /// coverage overflow) and reprices only clients whose inputs changed,
-  /// instead of scanning all n clients. Exact for uncapped indexes (up to
-  /// FP summation order, audited at QP_CHECK_LEVEL >= 2 against the full
-  /// scan); approximate candidate ranking for capped ones (see
-  /// client_index.hpp). The index must be built over this evaluator's space
-  /// and outlive the evaluator (or the next attach). Throws
-  /// std::invalid_argument for balanced objectives or a size mismatch.
+  /// detaches, and every client is classified again): objective_if_moved
+  /// then visits only the clients that can flip (charge list of the old
+  /// site + inverted list of the new site + coverage overflow). Exact for
+  /// uncapped indexes (up to FP summation order, audited at QP_CHECK_LEVEL
+  /// >= 2 against the same routine over every client); approximate
+  /// candidate ranking for capped ones (see client_index.hpp). The index
+  /// must be built over this evaluator's space and outlive the evaluator
+  /// (or the next attach). Throws std::invalid_argument for balanced
+  /// objectives or a size mismatch.
   void attach_candidate_index(const ClientCandidateIndex* index);
 
  private:
@@ -186,33 +188,32 @@ class DeltaEvaluator {
                                            double new_value) const;
 
   // ---- Closest-strategy machinery (see file comment). ----
+  /// Rebuilds every closest table from the placement: distance rows, chosen
+  /// quorums, charge lists, loads, responses and keep intervals.
   void rebuild_closest();
-  /// Reaccumulates closest_load_ (weighted charges of every chosen quorum)
-  /// and the per-client responses from the current choice tables.
-  void rebuild_closest_loads_and_rho();
   /// Exact chosen set of client v for patched distances (element -> value
   /// `patched`), replicating MajorityQuorum::best_quorum's (value, index)
   /// selection; appends the q chosen ids (ascending) to `out`.
   void majority_chosen_patched(std::size_t v, std::size_t element, double patched,
                                std::vector<std::size_t>& out) const;
-  [[nodiscard]] double closest_if_moved(std::size_t element, std::size_t site) const;
-  /// Sparse variant of closest_if_moved driven by candidate_index_ — see
-  /// attach_candidate_index.
-  [[nodiscard]] double closest_if_moved_indexed(std::size_t element,
-                                                std::size_t site) const;
+  /// system_->best_quorum of client v's distance row with `element` at d —
+  /// the definition the replicated choices are audited against.
+  [[nodiscard]] quorum::Quorum best_quorum_patched(std::size_t v, std::size_t element,
+                                                   double d) const;
+  /// The closest candidate routine: J(f') for f(element) <- site, visiting
+  /// every client when `every_client` is set, else the attached index's
+  /// clients that can flip (see attach_candidate_index).
+  [[nodiscard]] double closest_if_moved_indexed(std::size_t element, std::size_t site,
+                                                bool every_client) const;
   void apply_move_closest(std::size_t element, std::size_t site);
-  /// Rebuilds the site -> charging-clients lists (and the coverage-overflow
-  /// set) from the current chosen quorums — the full O(clients x |Q|) pass,
-  /// used at (re)build time and whenever no charge lists are maintained.
-  void rebuild_charge_index();
-  /// Bounded replacement for rebuild_closest_loads_and_rho after an accepted
-  /// move, driven by the maintained charge lists: only the sites whose
-  /// charging multiset changed are re-summed (ascending client order, so the
-  /// per-site sums are bitwise those of the full reaccumulation) and only
-  /// clients whose chosen quorum or a charged site's load changed are
-  /// repriced. `touched_clients` are the ascending clients whose charge set
-  /// moved, `new_charges` their (site, client) post-move charges in client
-  /// order, `affected_sites` the union of their old and new charge sites.
+  /// Repairs the tables after an accepted move, driven by the charge lists:
+  /// only the sites whose charging multiset changed are re-summed
+  /// (ascending client order, so the per-site sums are bitwise those of
+  /// rebuild_closest) and only clients whose chosen quorum or a charged
+  /// site's load changed are repriced. `touched_clients` are the ascending
+  /// clients whose charge set moved, `new_charges` their (site, client)
+  /// post-move charges in client order, `affected_sites` the union of their
+  /// old and new charge sites.
   void reaccumulate_closest_dirty(std::span<const std::size_t> touched_clients,
                                   std::vector<std::pair<std::size_t, std::size_t>>& new_charges,
                                   std::vector<std::size_t>& affected_sites);
@@ -222,8 +223,12 @@ class DeltaEvaluator {
   /// Recomputes the state derived from the charge lists after a rebuild or
   /// repair: the coverage-overflow set and, for Grid, the keep intervals.
   void refresh_candidate_tables();
+  /// The clients whose m1 exceeds their uncapped list's covered radius
+  /// (empty without an index or with a capped one).
+  void refresh_overflow_clients();
   /// ClosestGrid: first-wins row-major argmin cell (r * k + c) of client
-  /// v's grid with `element`'s distance patched to d — O(k), exact.
+  /// v's grid with `element`'s distance patched to d, read from the tables
+  /// before the patch — O(k), exact.
   [[nodiscard]] std::size_t grid_argmin_patched(std::size_t v, std::size_t element,
                                                 double d) const;
   /// Closed range [lo, hi] of distances (empty when lo > hi).
@@ -321,8 +326,8 @@ class DeltaEvaluator {
   };
   std::vector<PriceCert> price_cert_;
 
-  // Sparse candidate evaluation (closest modes, optional): the attached
-  // per-client candidate lists, the site -> charging-clients lists (one
+  // Candidate evaluation state (closest modes): the attached per-client
+  // candidate lists (optional), the site -> charging-clients lists (one
   // ascending client list per site, with per-element multiplicity; repaired
   // in place per accepted move), and the clients whose m1 outgrew their
   // list's covered radius (always checked, so uncapped evaluation stays

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -38,6 +37,20 @@ struct Candidate {
 /// is batch-independent); 256 keeps a shared pool busy without evaluating
 /// far past the accepted candidate.
 constexpr std::size_t kFirstImprovementBlock = 256;
+
+/// Accepted moves between rebuilds of an uncapped client index from the
+/// current m1 radii. The initial lists cover the initial placement's radii;
+/// as the search moves m1 both ways, clients whose radius shrank carry
+/// needlessly dense lists and clients whose radius outgrew their coverage
+/// fall into the always-classified overflow set. Rebuilds keep the lists
+/// tight and the overflow set empty. Uncapped evaluation is exact for any
+/// list contents, so the schedule changes speed, never decisions.
+constexpr std::size_t kClientIndexRebuildMoves = 16;
+
+/// Client-list cap on implicit spaces: exact coverage of every client's m1
+/// is O(n) per far client before the search tightens the placement (see
+/// client_index.hpp).
+constexpr std::size_t kImplicitClientIndexCap = 64;
 
 LocalSearchResult local_search_naive(const net::LatencyMatrix& matrix,
                                      const quorum::QuorumSystem& system,
@@ -109,9 +122,7 @@ LocalSearchResult local_search_delta(const net::LatencySpace& space,
   // candidate's evaluation touch only affected clients.
   const net::KnnIndex* knn = options.knn;
   std::optional<net::KnnIndex> local_knn;
-  const bool need_knn =
-      options.candidate_knn > 0 || (options.client_index && eval.closest_strategy());
-  if (knn == nullptr && need_knn) {
+  if (knn == nullptr && (options.candidate_knn > 0 || eval.closest_strategy())) {
     if (matrix == nullptr) {
       throw std::invalid_argument{
           "local_search_placement: sparse candidate search over an implicit "
@@ -121,23 +132,13 @@ LocalSearchResult local_search_delta(const net::LatencySpace& space,
     knn = &*local_knn;
   }
   std::optional<ClientCandidateIndex> client_index;
-  ClientCandidateIndex::Config index_config;
-  if (options.client_index && eval.closest_strategy()) {
-    ClientCandidateIndex::Config config;
-    config.cap = options.client_index_cap;
-    if (config.cap == 0 && matrix == nullptr) {
-      // Implicit spaces default to capped lists: exact coverage of every
-      // client's m1 is O(n) per far client before the search tightens the
-      // placement (see client_index.hpp).
-      config.cap = std::max<std::size_t>(64, options.candidate_knn);
-    }
-    client_index = ClientCandidateIndex::build(space, knn, eval.best_values(), config);
+  const std::size_t client_cap =
+      matrix == nullptr ? std::max(kImplicitClientIndexCap, options.candidate_knn) : 0;
+  if (eval.closest_strategy()) {
+    client_index = ClientCandidateIndex::build(space, knn, eval.best_values(), client_cap);
     eval.attach_candidate_index(&*client_index);
-    index_config = config;
   }
-  // Radius-shrinking rebuild schedule (uncapped lists only, see the option).
-  const bool reindex = client_index.has_value() && !client_index->capped() &&
-                       options.client_index_rebuild > 0;
+  const bool reindex = client_index.has_value() && !client_index->capped();
   std::size_t moves_since_reindex = 0;
 
   std::vector<bool> used(space.size(), false);
@@ -241,12 +242,8 @@ LocalSearchResult local_search_delta(const net::LatencySpace& space,
     eval.apply_move(candidates[best_index].element, candidates[best_index].site);
     ++result.moves;
     c_ls_moves.add();
-    if (reindex && ++moves_since_reindex >= options.client_index_rebuild) {
-      // Fresh lists match the current m1 radii (tight coverage, empty
-      // overflow set); exactness never depended on the list contents.
-      ClientCandidateIndex rebuilt =
-          ClientCandidateIndex::build(space, knn, eval.best_values(), index_config);
-      client_index = std::move(rebuilt);
+    if (reindex && ++moves_since_reindex >= kClientIndexRebuildMoves) {
+      client_index = ClientCandidateIndex::build(space, knn, eval.best_values(), client_cap);
       eval.attach_candidate_index(&*client_index);
       moves_since_reindex = 0;
       c_ls_rebuilds.add();

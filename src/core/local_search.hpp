@@ -27,12 +27,15 @@
 //     block size and thread count — deterministic.
 // Sparse candidate search (the 10k-50k-site regime): `candidate_knn`
 // restricts each element's relocation targets to the k sites nearest its
-// current site (via a net::KnnIndex), and closest-strategy objectives route
-// candidate evaluation through a ClientCandidateIndex so one candidate
-// touches only the clients it can affect. With candidate_knn == 0 and an
-// uncapped client index the search replays the dense exhaustive scan's
-// decisions exactly (same candidate order, evaluation equal up to FP
-// summation order) — the parity suites pin that on every n <= 500 config.
+// current site (via a net::KnnIndex). Closest-strategy objectives always
+// evaluate candidates through a ClientCandidateIndex, so one candidate
+// touches only the clients it can affect: uncapped lists (exact, rebuilt
+// from the current m1 radii every 16 accepted moves) on a dense matrix,
+// lists capped at max(64, candidate_knn) sites (approximate ranking, exact
+// applies) on an implicit space. With candidate_knn == 0 on a dense matrix
+// the search replays the dense exhaustive scan's decisions exactly (same
+// candidate order, evaluation equal up to FP summation order) — the parity
+// suites pin that on every n <= 500 config.
 #pragma once
 
 #include <cstddef>
@@ -83,27 +86,6 @@ struct LocalSearchOptions {
   /// candidate_knn > 0 or a closest objective on an implicit space. Must be
   /// built over `space` and outlive the call.
   const net::KnnIndex* knn = nullptr;
-  /// Closest-strategy objectives, Delta engine: evaluate candidates through
-  /// a ClientCandidateIndex (site -> clients) instead of scanning all n
-  /// clients per candidate. Exact (uncapped lists + overflow fallback) when
-  /// the space has a dense matrix; capped at max(64, candidate_knn) sites
-  /// per client on implicit spaces (approximate ranking, exact applies).
-  bool client_index = true;
-  /// Overrides the client-list cap: 0 = the default above, k > 0 caps every
-  /// list at k sites (also on dense matrices — bench/regression use).
-  std::size_t client_index_cap = 0;
-  /// Rebuild schedule for UNCAPPED client indexes: rebuild the per-client
-  /// lists from the current m1 radii after this many accepted moves
-  /// (0 = never). The initial lists cover the initial placement's radii
-  /// forever, even as the search moves m1 both ways — clients whose radius
-  /// shrank carry needlessly dense lists, clients whose radius outgrew its
-  /// coverage fall into the always-rechecked overflow set. Periodic
-  /// rebuilds keep the lists tight and the overflow set empty.
-  /// Trajectory-invariant: uncapped indexed evaluation is exact for ANY list
-  /// contents (coverage overflow repairs staleness), so the schedule changes
-  /// speed, never decisions. Capped indexes ignore it (their lists are
-  /// fixed-size and do not depend on the radii the same way).
-  std::size_t client_index_rebuild = 16;
 };
 
 struct LocalSearchResult {

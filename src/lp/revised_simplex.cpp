@@ -33,6 +33,15 @@ const obs::Gauge g_rs_eta_len_max = obs::gauge("lp.revised.eta_len_max");
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 
+/// Feasibility / optimality tolerance on reduced costs and row activity.
+constexpr double kTolerance = 1e-9;
+/// Minimum pivot magnitude accepted in the ratio test.
+constexpr double kPivotTolerance = 1e-8;
+/// Refactorize the basis from scratch after this many pivots.
+constexpr std::size_t kRefactorInterval = 100;
+/// Switch to Bland's rule after this many consecutive degenerate pivots.
+constexpr std::size_t kDegenerateSwitch = 40;
+
 /// One nonzero of an L or U column. For L the index is an original row; for
 /// U it is an earlier elimination step.
 struct LuEntry {
@@ -276,7 +285,7 @@ class RevisedState {
     // total negativity of the basic solution. For the cold all-slack /
     // all-artificial basis this is exactly the textbook artificial phase 1;
     // for a warm seed it repairs primal infeasibility in place.
-    if (infeasibility() > options_.tolerance) {
+    if (infeasibility() > kTolerance) {
       const SolveStatus status = optimize(/*phase1=*/true, limit, result.iterations);
       if (status == SolveStatus::IterationLimit || status == SolveStatus::Unbounded) {
         // Phase-1 objective is bounded below by zero, so "unbounded" here
@@ -455,14 +464,14 @@ class RevisedState {
     if (bland) {
       for (std::size_t j = 0; j < n; ++j) {
         if (in_basis_[j]) continue;
-        if (reduced_cost(j, phase1, y) < -options_.tolerance) return j;
+        if (reduced_cost(j, phase1, y) < -kTolerance) return j;
       }
       return kNone;
     }
     const std::size_t window =
         options_.pricing_window != 0 ? options_.pricing_window
                                      : std::max<std::size_t>(256, n / 8);
-    double best = -options_.tolerance;
+    double best = -kTolerance;
     std::size_t best_column = kNone;
     std::size_t j = cursor_ < n ? cursor_ : 0;
     for (std::size_t scanned = 0; scanned < n; ++scanned) {
@@ -489,7 +498,7 @@ class RevisedState {
     bool bland = false;
 
     for (;;) {
-      if (phase1 && infeasibility() <= options_.tolerance) return SolveStatus::Optimal;
+      if (phase1 && infeasibility() <= kTolerance) return SolveStatus::Optimal;
       if (iterations >= limit) return SolveStatus::IterationLimit;
       ++iterations;
 
@@ -498,7 +507,7 @@ class RevisedState {
       // reduces infeasibility), 0 otherwise.
       for (std::size_t i = 0; i < rows_; ++i) {
         if (phase1) {
-          if (xb_[i] < -options_.tolerance) {
+          if (xb_[i] < -kTolerance) {
             cb[i] = -1.0;
           } else {
             cb[i] = basis_[i] >= first_artificial_ ? 1.0 : 0.0;
@@ -524,14 +533,14 @@ class RevisedState {
       bool leaving_is_artificial = false;
       for (std::size_t i = 0; i < rows_; ++i) {
         const bool artificial = basis_[i] >= first_artificial_;
-        const bool infeasible = phase1 && xb_[i] < -options_.tolerance;
+        const bool infeasible = phase1 && xb_[i] < -kTolerance;
         double ratio = kInf;
-        if (!infeasible && w[i] > options_.pivot_tolerance) {
+        if (!infeasible && w[i] > kPivotTolerance) {
           ratio = std::max(0.0, xb_[i]) / w[i];
-        } else if (infeasible && w[i] < -options_.pivot_tolerance) {
+        } else if (infeasible && w[i] < -kPivotTolerance) {
           ratio = xb_[i] / w[i];
-        } else if (artificial && !infeasible && xb_[i] <= options_.tolerance &&
-                   std::abs(w[i]) > options_.pivot_tolerance) {
+        } else if (artificial && !infeasible && xb_[i] <= kTolerance &&
+                   std::abs(w[i]) > kPivotTolerance) {
           ratio = 0.0;
         } else {
           continue;
@@ -570,8 +579,8 @@ class RevisedState {
       basis_[leaving] = entering;
       in_basis_[entering] = true;
 
-      if (theta <= options_.tolerance) {
-        if (++degenerate_run > options_.degenerate_switch) bland = true;
+      if (theta <= kTolerance) {
+        if (++degenerate_run > kDegenerateSwitch) bland = true;
       } else {
         degenerate_run = 0;
         bland = false;
@@ -579,7 +588,7 @@ class RevisedState {
 
       // Refactorize on the pivot-count schedule or when the eta file's fill
       // outgrows a few dense columns' worth of work per solve.
-      if (etas_.size() >= options_.refactor_interval ||
+      if (etas_.size() >= kRefactorInterval ||
           eta_nnz_ > 8 * rows_ + 64) {
         if (!refactorize()) return SolveStatus::IterationLimit;
       }

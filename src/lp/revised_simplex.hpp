@@ -7,7 +7,7 @@
 //   * the basis is LU-factorized (Gilbert–Peierls left-looking elimination
 //     with partial pivoting) and updated between refactorizations by
 //     product-form eta vectors; it is refactorized from scratch every
-//     `refactor_interval` pivots or when the eta file grows past a fill
+//     100 pivots or when the eta file grows past a fill
 //     budget, whichever comes first;
 //   * Dantzig pricing over a rotating partial window (`pricing_window`),
 //     with a Bland's-rule fallback after a run of degenerate pivots, which

@@ -43,16 +43,8 @@ struct Basis {
 };
 
 struct SimplexOptions {
-  /// Feasibility / optimality tolerance on reduced costs and row activity.
-  double tolerance = 1e-9;
-  /// Minimum pivot magnitude accepted in the ratio test.
-  double pivot_tolerance = 1e-8;
   /// 0 = automatic (50 * (rows + cols) + 1000).
   std::size_t max_iterations = 0;
-  /// Refactorize the basis from scratch after this many pivots.
-  std::size_t refactor_interval = 100;
-  /// Switch to Bland's rule after this many consecutive degenerate pivots.
-  std::size_t degenerate_switch = 40;
   /// Partial-pricing window: how many candidate columns one pricing pass
   /// examines before settling for the best reduced cost seen (0 = automatic).
   std::size_t pricing_window = 0;

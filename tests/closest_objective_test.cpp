@@ -30,6 +30,7 @@
 #include "quorum/singleton.hpp"
 #include "quorum/tree.hpp"
 #include "sim/scenario.hpp"
+#include "tie_heavy_matrix.hpp"
 
 namespace qp::core {
 namespace {
@@ -170,23 +171,33 @@ TEST(ClosestDeltaEval, CandidateMovesMatchNaiveAcrossAllSystems) {
   // alpha levels including 0: the provably-unchanged fast path, the
   // Majority keep-slot path, and the exact choice recompute all must match
   // the naive closest evaluation.
+  // Grid also runs on tie-heavy matrices (integer RTTs, duplicated sites),
+  // where its first-wins argmin and keep intervals meet exact ties.
   common::Rng alpha_rng{1013};
   for (const SystemCase& test_case : all_systems()) {
     const std::size_t n = test_case.system->universe_size();
-    const LatencyMatrix m = net::small_synth(n + 10, 89);
-    common::Rng rng{13};
-    for (int trial = 0; trial < 2; ++trial) {
-      const ClosestStrategyObjective objective{trial == 0 ? 0.0
-                                                          : alpha_rng.uniform(0.01, 90.0)};
-      const Placement placement = random_one_to_one(m, n, rng);
-      const DeltaEvaluator eval{m, *test_case.system, placement, objective};
-      for (std::size_t u = 0; u < n; ++u) {
-        for (std::size_t w = 0; w < m.size(); ++w) {
-          const double delta = eval.objective_if_moved(u, w);
-          const double naive =
-              naive_if_moved(m, *test_case.system, objective, placement, u, w);
-          EXPECT_NEAR(delta, naive, 1e-9 * std::max(1.0, naive))
-              << test_case.label << " move " << u << "->" << w;
+    std::vector<LatencyMatrix> matrices;
+    matrices.push_back(net::small_synth(n + 10, 89));
+    if (test_case.label == "grid") {
+      matrices.push_back(net::tie_heavy_matrix(n + 10, 107, 3));
+      matrices.push_back(net::tie_heavy_matrix(n + 10, 109, 2));
+    }
+    const double alpha = alpha_rng.uniform(0.01, 90.0);
+    for (std::size_t i = 0; i < matrices.size(); ++i) {
+      const LatencyMatrix& m = matrices[i];
+      common::Rng rng{13};
+      for (int trial = 0; trial < 2; ++trial) {
+        const ClosestStrategyObjective objective{trial == 0 ? 0.0 : alpha};
+        const Placement placement = random_one_to_one(m, n, rng);
+        const DeltaEvaluator eval{m, *test_case.system, placement, objective};
+        for (std::size_t u = 0; u < n; ++u) {
+          for (std::size_t w = 0; w < m.size(); ++w) {
+            const double delta = eval.objective_if_moved(u, w);
+            const double naive =
+                naive_if_moved(m, *test_case.system, objective, placement, u, w);
+            EXPECT_NEAR(delta, naive, 1e-9 * std::max(1.0, naive))
+                << test_case.label << " matrix " << i << " move " << u << "->" << w;
+          }
         }
       }
     }
